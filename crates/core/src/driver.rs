@@ -32,7 +32,6 @@ use obs::telemetry::AnnotationKind;
 use obs::{EventKind, Obs, SloSpec, SloWatchdog, StartKind};
 use sched::Scheduler;
 use simkit::event::EventQueue;
-use simkit::queue::{FutureEventList, QueueKind};
 use simkit::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -100,7 +99,6 @@ pub struct SimBuilder {
     periodic_cycle: Option<SimDuration>,
     feedback: Option<(SimDuration, u64)>,
     observer: Obs,
-    queue: QueueKind,
     slo: Option<SloSpec>,
 }
 
@@ -119,17 +117,8 @@ impl SimBuilder {
             periodic_cycle: None,
             feedback: None,
             observer: Obs::disabled(),
-            queue: QueueKind::default(),
             slo: None,
         }
-    }
-
-    /// Choose the future-event-list implementation (default: the binary
-    /// heap). The calendar queue trades the heap's O(log n) for O(1)
-    /// amortized scheduling; the run's output is bit-identical either way.
-    pub fn event_queue(mut self, kind: QueueKind) -> Self {
-        self.queue = kind;
-        self
     }
 
     /// The native job log to replay. Jobs larger than the machine are
@@ -284,7 +273,6 @@ impl SimBuilder {
             periodic_cycle: self.periodic_cycle,
             feedback: self.feedback,
             obs: self.observer,
-            queue: self.queue,
             slo: self.slo,
         }
     }
@@ -303,7 +291,6 @@ pub struct Simulator {
     periodic_cycle: Option<SimDuration>,
     feedback: Option<(SimDuration, u64)>,
     obs: Obs,
-    queue: QueueKind,
     slo: Option<SloSpec>,
 }
 
@@ -383,21 +370,8 @@ struct RunState {
 impl Simulator {
     /// Execute the simulation to completion (all submitted jobs finished)
     /// and return the job log.
-    ///
-    /// The event queue implementation is the builder's
-    /// [`event_queue`](SimBuilder::event_queue) choice; both kinds pop in
-    /// identical `(time, seq)` order, so the output is bit-for-bit the same
-    /// either way (pinned by `crates/core/tests/differential_replay.rs`).
-    pub fn run(self) -> SimOutput {
-        let cap = self.natives.len() * 2 + 16;
-        match self.queue {
-            QueueKind::Heap => self.run_with_queue(EventQueue::with_capacity(cap)),
-            QueueKind::Calendar => self.run_with_queue(simkit::CalendarQueue::with_capacity(cap)),
-        }
-    }
-
-    /// [`run`](Simulator::run) against a concrete future-event list.
-    fn run_with_queue<Q: FutureEventList<Ev>>(mut self, mut q: Q) -> SimOutput {
+    pub fn run(mut self) -> SimOutput {
+        let mut q = EventQueue::with_capacity(self.natives.len() * 2 + 16);
         // Open the run's allocation window (inert unless obs was built with
         // the alloc-count feature); closed just before SimOutput assembly.
         let mem_mark = obs::alloc::mark();
@@ -605,13 +579,7 @@ impl Simulator {
         }
     }
 
-    fn handle(
-        &mut self,
-        now: SimTime,
-        ev: Ev,
-        st: &mut RunState,
-        q: &mut impl FutureEventList<Ev>,
-    ) {
+    fn handle(&mut self, now: SimTime, ev: Ev, st: &mut RunState, q: &mut EventQueue<Ev>) {
         match ev {
             Ev::Arrive(idx) => {
                 let mut job = self.natives[idx as usize];
@@ -723,13 +691,7 @@ impl Simulator {
     /// The pool is liquid (jobs are not pinned to nodes), so a failing node
     /// first claims idle CPUs; only the deficit kills jobs — youngest
     /// interstitial first (the cheapest loss), then youngest native.
-    fn fail_node(
-        &mut self,
-        now: SimTime,
-        node: u32,
-        st: &mut RunState,
-        q: &mut impl FutureEventList<Ev>,
-    ) {
+    fn fail_node(&mut self, now: SimTime, node: u32, st: &mut RunState, q: &mut EventQueue<Ev>) {
         let cpus = self.faults.nodes()[node as usize].cpus;
         st.faults.node_failures += 1;
         self.obs
@@ -772,7 +734,7 @@ impl Simulator {
         node: u32,
         id: u64,
         st: &mut RunState,
-        q: &mut impl FutureEventList<Ev>,
+        q: &mut EventQueue<Ev>,
     ) {
         let rj = st.running.remove(id);
         st.pool.release(rj.cpus);
@@ -910,7 +872,7 @@ impl Simulator {
     /// CPU conservation and the meta-backfill no-delay guarantee are
     /// asserted around the interstitial placement; the calls are empty
     /// inline stubs otherwise.
-    fn cycle(&mut self, now: SimTime, st: &mut RunState, q: &mut impl FutureEventList<Ev>) {
+    fn cycle(&mut self, now: SimTime, st: &mut RunState, q: &mut EventQueue<Ev>) {
         let span = self.obs.profiler.begin();
         self.obs.trace.advance_cycle();
         if st.machine_up {
@@ -1223,7 +1185,7 @@ impl Simulator {
         now: SimTime,
         job: Job,
         st: &mut RunState,
-        q: &mut impl FutureEventList<Ev>,
+        q: &mut EventQueue<Ev>,
         exact: bool,
         kind: StartKind,
         observer: &mut Obs,
@@ -1290,12 +1252,7 @@ impl Simulator {
         }
     }
 
-    fn submit_interstitial(
-        &mut self,
-        now: SimTime,
-        st: &mut RunState,
-        q: &mut impl FutureEventList<Ev>,
-    ) {
+    fn submit_interstitial(&mut self, now: SimTime, st: &mut RunState, q: &mut EventQueue<Ev>) {
         if self.streams.is_empty() {
             return;
         }

@@ -69,7 +69,6 @@ pub use driver::{SimBuilder, Simulator};
 pub use policy::{InterstitialMode, InterstitialPolicy, RetryPolicy};
 pub use project::InterstitialProject;
 pub use report::SimOutput;
-pub use simkit::QueueKind;
 
 /// Convenient glob import for examples and tests.
 pub mod prelude {
@@ -77,5 +76,4 @@ pub mod prelude {
     pub use crate::policy::{InterstitialMode, InterstitialPolicy, RetryPolicy};
     pub use crate::project::InterstitialProject;
     pub use crate::report::SimOutput;
-    pub use simkit::QueueKind;
 }

@@ -34,8 +34,8 @@
 //! `free_profile(now, free_now, horizon)` StepFunction with the same
 //! deductions applied — edge cases included (empty windows, zero durations,
 //! windows clipped by the horizon). `crates/machine/tests/free_profile_props.rs`
-//! and `crates/sched/tests/differential.rs` enforce this pointwise and
-//! end-to-end; golden traces stay byte-identical because of it.
+//! enforces this pointwise, and the `check-invariants` planner-equivalence
+//! check in `sched` end to end on every checked scheduling cycle.
 
 use simkit::series::StepFunction;
 use simkit::time::{SimDuration, SimTime};

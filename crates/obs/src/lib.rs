@@ -33,7 +33,6 @@ pub mod json;
 pub mod metrics;
 pub mod p2;
 pub mod perf;
-pub mod probe;
 pub mod profile;
 pub mod recorder;
 pub mod report;

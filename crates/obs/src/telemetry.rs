@@ -3,10 +3,10 @@
 //! Every other instrument in this crate is end-of-run (counters, reports)
 //! or per-event (the trace); nothing observes the simulation *as sim-time
 //! advances*. [`TelemetryBus`] closes that gap: a fixed-cadence sampling
-//! bus driven purely by the simulation clock. The driver (or an engine
-//! probe) asks [`TelemetryBus::pending_tick`] whether a sample is due
-//! before the event it is about to apply, snapshots its signal values, and
-//! hands them to [`TelemetryBus::record_tick`]. Samples land in columnar
+//! bus driven purely by the simulation clock. The driver asks
+//! [`TelemetryBus::pending_tick`] whether a sample is due before the event
+//! it is about to apply, snapshots its signal values, and hands them to
+//! [`TelemetryBus::record_tick`]. Samples land in columnar
 //! SoA storage — one `Vec<u64>` per signal sharing a single tick index —
 //! so a run's worth of series exports as a handful of dense arrays.
 //!
@@ -71,11 +71,6 @@ pub const DRIVER_SIGNALS: &[&str] = &[
     "d_cands",
     "d_segs",
 ];
-
-/// The reduced signal set [`crate::probe::ObsProbe`] samples when a model
-/// is driven through the generic `simkit` engine loop rather than the core
-/// driver: event-pump throughput and future-event-list depth.
-pub const ENGINE_SIGNALS: &[&str] = &["d_engine_events", "queue_depth"];
 
 /// `(user-facing key, signal column, fractional)` for every metric the
 /// `--slo` grammar accepts. Fractional metrics take a decimal fraction in
@@ -1006,12 +1001,11 @@ mod tests {
     }
 
     #[test]
-    fn engine_signals_resolve_for_the_probe() {
-        assert!(ENGINE_SIGNALS.contains(&"queue_depth"));
+    fn watchdog_rejects_rules_over_unsampled_signals() {
         let spec = SloSpec::parse("queue_depth<=10").unwrap();
-        assert!(SloWatchdog::new(&spec, ENGINE_SIGNALS).is_ok());
+        assert!(SloWatchdog::new(&spec, &["queue_depth"]).is_ok());
         let spec = SloSpec::parse("util>=0.5").unwrap();
-        assert!(SloWatchdog::new(&spec, ENGINE_SIGNALS)
+        assert!(SloWatchdog::new(&spec, &["queue_depth"])
             .unwrap_err()
             .contains("does not sample"));
     }

@@ -35,8 +35,9 @@ pub const LOOKAHEAD: SimDuration = SimDuration(60 * 86_400);
 /// The capacity queries the planner needs, abstracted so the naive
 /// [`StepFunction`] profile and the indexed [`IndexedFreeProfile`] view are
 /// interchangeable. Both answer every method identically for the same
-/// running set (pinned by `crates/sched/tests/differential.rs`); they differ
-/// only in cost. Methods take `&mut self` so implementations may keep
+/// running set (checked every cycle by
+/// [`check_planner_equivalence`](crate::invariants::check_planner_equivalence));
+/// they differ only in cost. Methods take `&mut self` so implementations may keep
 /// deterministic work tallies without interior mutability (simlint R5).
 pub trait CapacityProfile {
     /// Value at instant `t` (clamped into the domain).
@@ -108,7 +109,7 @@ pub struct Reservation {
 }
 
 /// Outcome of one scheduling cycle.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DispatchPlan {
     /// Jobs to start immediately, in decision order.
     pub starts: Vec<Job>,
@@ -144,31 +145,15 @@ pub fn plan(
     if ordered_queue.is_empty() {
         return DispatchPlan::default();
     }
-    let horizon = now + LOOKAHEAD;
-    let mut profile = running.free_profile(now, free, horizon);
-    plan_on_profile(policy, ordered_queue, now, &mut profile, window)
+    let mut profile = running.free_profile(now, free, now + LOOKAHEAD);
+    plan_on(policy, ordered_queue, now, &mut profile, window)
 }
 
-/// [`plan`] against a pre-built free-capacity profile.
-///
-/// Callers that want to time profile construction and planning separately
-/// (the obs phase profiler) build the profile with
-/// [`RunningSet::free_profile`] over `now + LOOKAHEAD` themselves and pass
-/// it here; the profile is consumed (reservations are subtracted in place).
-pub fn plan_on_profile(
-    policy: BackfillPolicy,
-    ordered_queue: &[Job],
-    now: SimTime,
-    profile: &mut StepFunction,
-    window: DispatchWindow,
-) -> DispatchPlan {
-    plan_on(policy, ordered_queue, now, profile, window)
-}
-
-/// [`plan_on_profile`] generalized over [`CapacityProfile`], so one planner
-/// body serves both the naive and the indexed capacity views — the
-/// differential harness depends on there being exactly one decision
-/// procedure.
+/// [`plan`] against any [`CapacityProfile`], so one planner body serves
+/// both the naive profile and the indexed view the scheduler queries — the
+/// planner-equivalence invariant depends on there being exactly one
+/// decision procedure. The profile is consumed (reservations are
+/// subtracted in place).
 pub fn plan_on<P: CapacityProfile>(
     policy: BackfillPolicy,
     ordered_queue: &[Job],
@@ -188,7 +173,7 @@ pub fn plan_on<P: CapacityProfile>(
     // `min_over(now, ·) >= cpus >= 1` while the value at `now` is ≤ 0 —
     // except for hypothetical zero-CPU jobs, which disable the shortcut.
     // Applied identically for every profile implementation so
-    // `candidates_scanned` stays mode-independent.
+    // `candidates_scanned` is the same on the naive and indexed profiles.
     let has_zero_cpu = ordered_queue.iter().any(|j| j.cpus == 0);
     let mut free_at_now = profile.value_at(now);
 

@@ -1,6 +1,6 @@
 //! Runtime invariant checks for the simulation loop.
 //!
-//! Two properties the whole reproduction rests on are asserted here, at
+//! Three properties the whole reproduction rests on are asserted here, at
 //! every scheduling cycle, when the `check-invariants` feature is enabled:
 //!
 //! 1. **CPU conservation** — the CPUs booked by the running set, the pool's
@@ -13,16 +13,25 @@
 //!    `backFillWallTime`), *on the scheduler's own information*. This is the
 //!    Figure 1 guarantee; bad user estimates may still delay natives in
 //!    actuality (the §4.3 effect), but the plan itself must never regress.
+//! 3. **Planner equivalence** — the indexed plan the scheduler acts on
+//!    equals the naive reference: [`crate::backfill::plan`] over the same
+//!    eligible queue, planned against [`RunningSet::free_profile`] rebuilt
+//!    from every running job. Starts, backfilled count, head reservation and
+//!    `candidates_scanned` must all match; the index may only change the
+//!    cost of a decision, never the decision.
 //!
-//! Without the feature both functions compile to empty inline bodies, so the
-//! driver calls them unconditionally and release builds pay nothing. The
+//! Without the feature the functions compile to empty inline bodies, so the
+//! driver and [`Scheduler::cycle_observed`] call them unconditionally and
+//! release builds pay nothing. The
 //! `interstitial` crate (crates/core) turns the feature on for its test
 //! builds via a dev-dependency, so every `cargo test` replay runs checked.
 
-use crate::backfill::Reservation;
+use crate::backfill::{BackfillPolicy, DispatchPlan, Reservation};
+use crate::window::DispatchWindow;
 use crate::Scheduler;
 use machine::RunningSet;
 use simkit::time::{SimDuration, SimTime};
+use workload::Job;
 
 /// Assert the CPU-accounting invariant: the running set and the pool agree,
 /// and the partition is never oversubscribed.
@@ -145,9 +154,48 @@ pub fn check_no_delay(
 ) {
 }
 
+/// Assert the planner-equivalence invariant: `indexed`, the plan the
+/// scheduler computed on its indexed free-capacity view, must equal the
+/// naive [`crate::backfill::plan`] over the same `eligible` queue, `free` CPUs and
+/// running set.
+#[cfg(feature = "check-invariants")]
+pub fn check_planner_equivalence(
+    now: SimTime,
+    policy: BackfillPolicy,
+    eligible: &[Job],
+    free: u32,
+    running: &RunningSet,
+    window: DispatchWindow,
+    indexed: &DispatchPlan,
+) {
+    let naive = crate::backfill::plan(policy, eligible, now, free, running, window);
+    assert_eq!(
+        &naive,
+        indexed,
+        "invariant: indexed planner diverged from the naive reference at {now:?} \
+         ({policy:?}, {} eligible, {free} free)",
+        eligible.len()
+    );
+}
+
+/// No-op stand-in when the feature is off.
+#[cfg(not(feature = "check-invariants"))]
+#[inline(always)]
+pub fn check_planner_equivalence(
+    _now: SimTime,
+    _policy: BackfillPolicy,
+    _eligible: &[Job],
+    _free: u32,
+    _running: &RunningSet,
+    _window: DispatchWindow,
+    _indexed: &DispatchPlan,
+) {
+}
+
 #[cfg(all(test, feature = "check-invariants"))]
 mod tests {
     use super::*;
+    use crate::backfill;
     use machine::RunningJob;
     use workload::{Job, JobClass};
 
@@ -265,5 +313,57 @@ mod tests {
         let mut s = Scheduler::lsf();
         let rs = RunningSet::new();
         check_no_delay(t(0), &mut s, 10, &rs, None, SimDuration::ZERO);
+    }
+
+    #[test]
+    fn planner_equivalence_accepts_the_indexed_plan() {
+        let mut rs = RunningSet::new();
+        rs.insert(rj(100, 6, 1000, false));
+        let eligible = [job(1, 8, 500), job(2, 2, 300)];
+        let mut view = rs.indexed_profile(t(0), 4, t(0) + backfill::LOOKAHEAD);
+        let plan = backfill::plan_on(
+            BackfillPolicy::Easy,
+            &eligible,
+            t(0),
+            &mut view,
+            DispatchWindow::Always,
+        );
+        assert_eq!(plan.backfilled, 1, "job 2 fits before the head's slot");
+        check_planner_equivalence(
+            t(0),
+            BackfillPolicy::Easy,
+            &eligible,
+            4,
+            &rs,
+            DispatchWindow::Always,
+            &plan,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "diverged from the naive reference")]
+    fn planner_equivalence_catches_a_mismatched_plan() {
+        let mut rs = RunningSet::new();
+        rs.insert(rj(100, 6, 1000, false));
+        let eligible = [job(1, 8, 500), job(2, 2, 300)];
+        let mut plan = backfill::plan(
+            BackfillPolicy::Easy,
+            &eligible,
+            t(0),
+            4,
+            &rs,
+            DispatchWindow::Always,
+        );
+        // A planner that forgot the head's reservation.
+        plan.head_reservation = None;
+        check_planner_equivalence(
+            t(0),
+            BackfillPolicy::Easy,
+            &eligible,
+            4,
+            &rs,
+            DispatchWindow::Always,
+            &plan,
+        );
     }
 }

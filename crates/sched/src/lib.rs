@@ -15,7 +15,11 @@
 //!   restrictive variant the paper attributes to Ross ("the criteria by
 //!   which backfilling takes place is more restrictive").
 //! * [`scheduler`] — [`Scheduler`], the queue + policy bundle the simulation
-//!   driver talks to, with per-machine constructors.
+//!   driver talks to, with per-machine constructors. Each cycle plans on
+//!   the running set's indexed free-capacity view.
+//! * [`invariants`] — runtime checks behind the `check-invariants` feature:
+//!   CPU conservation, meta-backfill no-delay, and planner equivalence (the
+//!   indexed plan equals the naive [`backfill::plan`] reference).
 
 //!
 //! ```
@@ -46,5 +50,5 @@ pub mod window;
 
 pub use backfill::{BackfillPolicy, CapacityProfile, DispatchPlan, Reservation};
 pub use priority::PriorityPolicy;
-pub use scheduler::{Counters, ProfileMode, Scheduler};
+pub use scheduler::{Counters, Scheduler};
 pub use window::DispatchWindow;

@@ -8,30 +8,12 @@
 
 use crate::backfill::{self, BackfillPolicy, DispatchPlan, Reservation};
 use crate::fairshare::FairShare;
+use crate::invariants;
 use crate::priority::PriorityPolicy;
 use crate::window::DispatchWindow;
 use machine::{MachineConfig, QueueSystem, RunningSet};
 use simkit::time::{SimDuration, SimTime};
 use workload::Job;
-
-/// Which free-capacity representation a cycle plans against. Both produce
-/// identical dispatch decisions (one planner body, equivalence pinned by
-/// `crates/sched/tests/differential.rs`); they differ only in query cost.
-/// `profile_segments_walked` tallies the segments of whichever profile the
-/// cycle actually builds: the full running-set rebuild (∝ running jobs)
-/// for `Naive`, the plan overlay (∝ plan size) for `Indexed`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ProfileMode {
-    /// Rebuild a [`StepFunction`](simkit::series::StepFunction) from every
-    /// running job each cycle — the O(n) reference oracle.
-    Naive,
-    /// Query the incrementally-maintained
-    /// [`EndIndex`](machine::EndIndex) through
-    /// [`IndexedFreeProfile`](machine::IndexedFreeProfile) — O(√n) per
-    /// query. The default.
-    #[default]
-    Indexed,
-}
 
 /// Queue + policies for one machine.
 #[derive(Clone, Debug)]
@@ -42,8 +24,6 @@ pub struct Scheduler {
     pub backfill: BackfillPolicy,
     /// Time-of-day dispatch constraint.
     pub window: DispatchWindow,
-    /// Free-capacity representation the planner queries.
-    pub profile_mode: ProfileMode,
     /// Anti-starvation aging: fair-share score reduction per second of
     /// queue wait (0 = off; see [`PriorityPolicy::key_aged`]).
     pub aging_weight: f64,
@@ -83,10 +63,9 @@ pub struct Counters {
     pub backfill_candidates_scanned: u64,
     /// Segments in the free-capacity profiles built for planning, summed
     /// over cycles — the cost of materializing the projected-capacity
-    /// timeline. Mode-dependent size, same meaning: the naive path rebuilds
-    /// a profile with one segment per distinct running-job end, the indexed
-    /// path builds only the plan overlay (see
-    /// [`ProfileMode`]).
+    /// timeline. The planner queries the running set's end index and builds
+    /// only the plan overlay, so this counts overlay segments, not one per
+    /// running job.
     pub profile_segments_walked: u64,
 }
 
@@ -102,7 +81,6 @@ impl Scheduler {
             priority,
             backfill,
             window,
-            profile_mode: ProfileMode::default(),
             aging_weight: 0.0,
             max_dispatchable_per_user: None,
             fairshare: FairShare::new(fairshare_half_life),
@@ -302,38 +280,26 @@ impl Scheduler {
         let plan = if eligible.is_empty() {
             DispatchPlan::default()
         } else {
-            match self.profile_mode {
-                ProfileMode::Naive => {
-                    let token = observer.profiler.begin();
-                    let mut profile = running.free_profile(now, free, now + backfill::LOOKAHEAD);
-                    observer.profiler.end("free-profile", token);
-                    self.counters.profile_segments_walked += profile.segment_count() as u64;
-                    let token = observer.profiler.begin();
-                    let plan = backfill::plan_on_profile(
-                        self.backfill,
-                        &eligible,
-                        now,
-                        &mut profile,
-                        self.window,
-                    );
-                    observer.profiler.end("backfill", token);
-                    plan
-                }
-                ProfileMode::Indexed => {
-                    let token = observer.profiler.begin();
-                    let mut view = running.indexed_profile(now, free, now + backfill::LOOKAHEAD);
-                    observer.profiler.end("free-profile", token);
-                    let token = observer.profiler.begin();
-                    let plan =
-                        backfill::plan_on(self.backfill, &eligible, now, &mut view, self.window);
-                    observer.profiler.end("backfill", token);
-                    // The indexed tally: segments of the only profile this
-                    // cycle built — the plan overlay. The base timeline
-                    // stays inside the shared index, never materialized.
-                    self.counters.profile_segments_walked += view.segment_count() as u64;
-                    plan
-                }
-            }
+            let token = observer.profiler.begin();
+            let mut view = running.indexed_profile(now, free, now + backfill::LOOKAHEAD);
+            observer.profiler.end("free-profile", token);
+            let token = observer.profiler.begin();
+            let plan = backfill::plan_on(self.backfill, &eligible, now, &mut view, self.window);
+            observer.profiler.end("backfill", token);
+            // Segments of the only profile this cycle built — the plan
+            // overlay. The base timeline stays inside the shared index,
+            // never materialized.
+            self.counters.profile_segments_walked += view.segment_count() as u64;
+            invariants::check_planner_equivalence(
+                now,
+                self.backfill,
+                &eligible,
+                free,
+                running,
+                self.window,
+                &plan,
+            );
+            plan
         };
         self.counters.cycles += 1;
         self.counters.backfill_starts += u64::from(plan.backfilled);

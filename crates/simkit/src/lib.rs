@@ -15,12 +15,9 @@
 //!   and least-squares fits used by the analysis layer.
 //! * [`series`] — piecewise-constant step functions (free-capacity profiles)
 //!   and binned time series (utilization traces).
-//! * [`event`] — a stable, deterministic binary-heap event queue.
-//! * [`calendar`] — a bucketed timing-wheel with the identical pop order,
-//!   O(1) amortized when event times are spread evenly.
-//! * [`queue`] — the [`FutureEventList`] trait both queues implement, plus
-//!   the [`QueueKind`] selector drivers expose.
-//! * [`engine`] — a minimal driver loop, generic over the event queue.
+//! * [`event`] — the future-event list: a stable, deterministic
+//!   binary-heap [`EventQueue`] popping in ascending `(time, insertion)`
+//!   order.
 //!
 //! All types are `std`-only; the crate has no runtime dependencies.
 
@@ -41,18 +38,13 @@
 
 #![warn(missing_docs)]
 
-pub mod calendar;
 pub mod dist;
-pub mod engine;
 pub mod event;
-pub mod queue;
 pub mod rng;
 pub mod series;
 pub mod stats;
 pub mod time;
 
-pub use calendar::CalendarQueue;
 pub use event::EventQueue;
-pub use queue::{FutureEventList, QueueKind};
 pub use rng::Rng;
 pub use time::{SimDuration, SimTime};

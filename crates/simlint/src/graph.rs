@@ -60,7 +60,7 @@ pub struct ImpurePattern {
     pub category: &'static str,
 }
 
-/// What R8 forbids anywhere reachable from the engine/scheduler roots.
+/// What R8 forbids anywhere reachable from the driver/scheduler roots.
 /// Tokens are matched against cleaned text (comments/strings blanked), so
 /// log messages naming these are fine.
 pub const IMPURE_PATTERNS: &[ImpurePattern] = &[
@@ -129,14 +129,12 @@ pub const IMPURE_PATTERNS: &[ImpurePattern] = &[
 /// A function the purity pass roots at: `(crate, Self type or "", name)`.
 pub type Root = (&'static str, &'static str, &'static str);
 
-/// The R8 purity roots: one scheduling cycle and the simkit engine loop.
+/// The R8 purity roots: one scheduling cycle and the driver's event loop.
 /// Everything transitively callable from these must be a pure function of
 /// simulation state — no wall clock, no IO, no entropy.
 pub const PURITY_ROOTS: &[Root] = &[
     ("sched", "Scheduler", "cycle"),
     ("sched", "Scheduler", "cycle_observed"),
-    ("simkit", "", "run"),
-    ("simkit", "", "run_probed"),
     ("core", "Simulator", "run"),
 ];
 

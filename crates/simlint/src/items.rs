@@ -14,7 +14,7 @@ use crate::lexer::Cleaned;
 /// default trait body).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FnItem {
-    /// The function's bare name (`cycle`, `run_probed`).
+    /// The function's bare name (`cycle`, `run`).
     pub name: String,
     /// The `Self` type when declared inside `impl Ty` / `impl Tr for Ty` /
     /// `trait Ty` — the last path segment, generics stripped (`Scheduler`).

@@ -20,9 +20,9 @@
 //!   `fold(0.0`) in sim crates: parallel ensemble merges reorder partial
 //!   sums.
 //! * **R8** — semantic purity: every function reachable from
-//!   `Scheduler::cycle` or the simkit engine loop (over an approximate
-//!   item-level call graph, see [`graph`]) must be free of wall-clock, IO
-//!   and entropy calls.
+//!   `Scheduler::cycle` or the driver loop `Simulator::run` (over an
+//!   approximate item-level call graph, see [`graph`]) must be free of
+//!   wall-clock, IO and entropy calls.
 //!
 //! Binaries (`crates/*/src/bin`) and the `examples/` tree are scanned
 //! under a relaxed rule set (R1/R5 only). Audited exceptions live in
@@ -156,7 +156,7 @@ pub fn lint_workspace(root: &Path) -> Result<Report, String> {
             .map_err(|e| format!("reading {}: {e}", f.path))?;
         raw_violations.extend(rules::lint_source(&f.path, &src));
         // The purity graph covers determinism-crate library code only:
-        // that is where the engine/scheduler hot path lives.
+        // that is where the driver/scheduler hot path lives.
         let krate = rules::crate_of(&f.path);
         if f.class == FileClass::Lib && rules::DETERMINISM_CRATES.contains(&krate) {
             let cleaned = lexer::analyze(&src);
@@ -187,7 +187,7 @@ pub fn lint_workspace(root: &Path) -> Result<Report, String> {
                 line: *line,
                 message: format!(
                     "impure {category} call ({token}) on the deterministic hot path: \
-                     {} — every function reachable from the engine/scheduler loop \
+                     {} — every function reachable from the driver/scheduler loop \
                      must be a pure function of simulation state",
                     g.chain(&parent, i)
                 ),
@@ -299,18 +299,23 @@ mod tests {
     }
 
     /// The R8 pass is only meaningful if the roots actually resolve and
-    /// pull in a substantial slice of the engine/scheduler hot path.
+    /// pull in a substantial slice of the driver/scheduler hot path.
     #[test]
     fn purity_roots_resolve_and_reach_the_hot_path() {
         let report = lint_workspace(&workspace_root()).unwrap();
-        assert!(
-            report.roots.len() >= 4,
-            "expected Scheduler::cycle/cycle_observed + engine run/run_probed, got {:?}",
-            report
-                .roots
-                .iter()
-                .map(|&r| report.graph.nodes[r].id.clone())
-                .collect::<Vec<_>>()
+        let roots: Vec<&str> = report
+            .roots
+            .iter()
+            .map(|&r| report.graph.nodes[r].id.as_str())
+            .collect();
+        assert_eq!(
+            roots,
+            [
+                "core::Simulator::run",
+                "sched::Scheduler::cycle",
+                "sched::Scheduler::cycle_observed"
+            ],
+            "every purity root must resolve, and only to itself"
         );
         assert!(
             report.reachable.len() >= 20,

@@ -60,7 +60,7 @@ fn main() -> ExitCode {
                      \u{20}      R3 f64 time conversion outside simkit::time, R4 unwrap/expect,\n\
                      \u{20}      R5 shared-mutable-state hazards, R6 entropy-seeded RNG,\n\
                      \u{20}      R7 order-sensitive f64 accumulation, R8 hot-path purity\n\
-                     \u{20}      (call-graph reachability from Scheduler::cycle / engine loop)\n\
+                     \u{20}      (call-graph reachability from Scheduler::cycle / Simulator::run)\n\
                      flags: --format json     machine-readable diagnostics (schema 1)\n\
                      \u{20}      --deny-stale     stale simlint.toml entries fail the run\n\
                      \u{20}      --emit-graph P   write the annotated call graph to P\n\

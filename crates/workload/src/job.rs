@@ -26,7 +26,7 @@ impl JobClass {
 
 /// A job as submitted: everything the scheduler may know, plus the actual
 /// runtime only the simulator knows.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Job {
     /// Unique id within a trace/simulation.
     pub id: JobId,
