@@ -27,13 +27,16 @@ use crate::policy::{
 };
 use crate::project::InterstitialProject;
 use crate::report::SimOutput;
-use machine::{CpuPool, FaultModel, MachineConfig, OutageSchedule, RunningJob, RunningSet};
+use machine::{
+    CpuPool, FaultModel, FaultStats, MachineConfig, OutageSchedule, RunningJob, RunningSet,
+};
 use obs::telemetry::AnnotationKind;
 use obs::{EventKind, Obs, SloSpec, SloWatchdog, StartKind};
 use sched::Scheduler;
 use simkit::event::EventQueue;
 use simkit::time::{SimDuration, SimTime};
-use std::collections::BTreeMap;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use workload::{CompletedJob, Job, JobClass};
 
@@ -63,8 +66,11 @@ const MAX_EVENTS: u64 = 200_000_000;
 enum Ev {
     /// A native job (by index into the trace) is submitted.
     Arrive(u32),
-    /// A running job finishes.
-    Finish(u64),
+    /// A running job finishes, stamped with the start generation that
+    /// scheduled it. Every start or resume bumps the job's generation, so
+    /// a finish the job outlived (it was evicted, or restarted since) finds
+    /// the job not running or a newer generation, and is dropped.
+    Finish { id: u64, gen: u32 },
     /// Machine goes down / comes back. Payload: is the machine up after
     /// this event?
     Outage(bool),
@@ -80,6 +86,8 @@ enum Ev {
     /// Forces a scheduling cycle (simulation start, project start).
     Kick,
 }
+
+const _: () = assert!(std::mem::size_of::<Ev>() == 16);
 
 /// Builder for [`Simulator`].
 /// One interstitial job stream: a project, its mode and its policy.
@@ -294,33 +302,50 @@ pub struct Simulator {
     slo: Option<SloSpec>,
 }
 
-/// A checkpointed interstitial job awaiting resumption.
-struct Suspended {
-    job: Job,
-    first_start: SimTime,
-    remaining: SimDuration,
+/// Where a started job is in its life cycle.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Phase {
+    /// Holding CPUs; its live finish event carries the current generation.
+    Running,
+    /// A native a fault put back at the head of the scheduler's queue.
+    Requeued,
+    /// A fault-killed interstitial waiting out its retry backoff, with the
+    /// work it still has to run.
+    Backoff { remaining: SimDuration },
+    /// Backoff expired: queued in `RunState::ready` to restart.
+    Ready { remaining: SimDuration },
+    /// Preempted: queued in `RunState::suspended` to resume.
+    Suspended { remaining: SimDuration },
 }
 
-/// A fault-killed interstitial job waiting out its retry backoff.
-///
-/// Under kill-restart `remaining == job.runtime` and `first_start` is
-/// `None`, reproducing the legacy restart-from-scratch path exactly; the
-/// checkpoint/suspend policies carry the credited remainder and the
-/// original wallclock anchor instead.
-struct PendingRetry {
+/// Everything the driver knows about a job it has started.
+struct JobState {
     job: Job,
-    remaining: SimDuration,
-    first_start: Option<SimTime>,
+    /// Start generation: bumped by every start or resume and stamped on
+    /// the finish event that start schedules.
+    gen: u32,
+    /// Fault kills so far — the `attempt` stamped on requeue events, and
+    /// the count the retry policy's give-up test reads.
+    attempts: u32,
+    /// Progress the recovery policy credited at evictions (zero under
+    /// kill-restart, and never added by `Preemption::Checkpoint`).
+    done: SimDuration,
+    /// Wallclock anchor: the completed record spans back to it across
+    /// every suspension. Every start but a resume resets it, so a fault
+    /// retry with nothing credited starts over.
+    first_start: SimTime,
+    phase: Phase,
 }
 
 struct RunState {
     pool: CpuPool,
     running: RunningSet,
-    /// Payload of running jobs (the RunningSet keeps only scheduling facts).
-    /// All RunState maps are `BTreeMap`: the closed-loop seeding and any
-    /// future iteration must visit entries in a fixed order or replays
-    /// diverge (simlint R1).
-    live: BTreeMap<u64, Job>,
+    /// Every started job not yet finished or abandoned (the RunningSet
+    /// keeps only the scheduling facts of the running ones). All RunState
+    /// maps are `BTreeMap`: the closed-loop seeding and any future
+    /// iteration must visit entries in a fixed order or replays diverge
+    /// (simlint R1).
+    jobs: BTreeMap<u64, JobState>,
     completed: Vec<CompletedJob>,
     /// Interstitial jobs started so far, per stream.
     ij_started: Vec<u64>,
@@ -328,33 +353,17 @@ struct RunState {
     rr_next: usize,
     next_ij_id: u64,
     machine_up: bool,
-    /// Count of stale (preemption-voided) finish events per job id. A
-    /// resumed job keeps its id, so a plain tombstone set would let the
-    /// stale event complete it early; counting consumes exactly the stale
-    /// ones (they always precede the live one, since resumption only ever
-    /// pushes the true end later).
-    void_events: BTreeMap<u64, u32>,
-    /// Checkpointed interstitial jobs (FIFO resume order).
-    suspended: Vec<Suspended>,
-    /// First-start instants of checkpointed jobs currently running again.
-    resume_meta: BTreeMap<u64, SimTime>,
+    /// Preempted interstitial jobs, in FIFO resume order.
+    suspended: VecDeque<u64>,
+    /// Fault victims whose backoff expired, in restart order.
+    ready: VecDeque<u64>,
     killed: u64,
     wasted_cpu_seconds: f64,
     /// Fault/recovery accounting (node boundaries, kills, retries).
-    faults: machine::FaultStats,
-    /// Fault kills per job id — the `attempt` stamped on requeue/retry
-    /// events, and the counter the retry policy's give-up test reads.
-    retry_attempts: BTreeMap<u64, u32>,
-    /// Fault-killed interstitial jobs waiting out their backoff.
-    retry_pending: BTreeMap<u64, PendingRetry>,
-    /// Backoff expired; restart at the next opportunity.
-    retry_ready: Vec<PendingRetry>,
-    /// Credited progress per evicted interstitial job (empty under
-    /// kill-restart — the ledger is what the recovery policies add).
-    ledger: machine::ProgressLedger,
+    faults: FaultStats,
     /// Closed-loop mode: per-user queues of not-yet-submitted native trace
     /// indexes, and the think-time sampler.
-    user_pending: BTreeMap<u32, std::collections::VecDeque<u32>>,
+    user_pending: BTreeMap<u32, VecDeque<u32>>,
     think: Option<(simkit::dist::Exp, simkit::rng::Rng)>,
     /// Rolling P² estimate of the native P99 queue wait — the telemetry
     /// `native_wait_p99_s` signal. Observed at native finishes only when
@@ -365,6 +374,24 @@ struct RunState {
     telemetry_prev: [u64; 4],
     /// Online SLO evaluator fed at each telemetry tick.
     watchdog: SloWatchdog,
+}
+
+impl RunState {
+    /// The state of a job the driver started and still tracks.
+    fn job_mut(&mut self, id: u64) -> &mut JobState {
+        self.jobs.get_mut(&id).expect("state of a started job")
+    }
+}
+
+/// An abandoned job's credited progress never reached a completed job:
+/// reverse its salvage into interstitial waste.
+fn write_off(faults: &mut FaultStats, js: &JobState) {
+    if !js.done.is_zero() {
+        let sunk = js.job.cpus as f64 * js.done.as_secs_f64();
+        faults.salvaged_cpu_seconds -= sunk;
+        faults.fault_wasted_cpu_seconds += sunk;
+        faults.interstitial_wasted_cpu_seconds += sunk;
+    }
 }
 
 impl Simulator {
@@ -384,22 +411,17 @@ impl Simulator {
         let mut st = RunState {
             pool: CpuPool::new(self.machine.cpus),
             running: RunningSet::new(),
-            live: BTreeMap::new(),
+            jobs: BTreeMap::new(),
             completed: Vec::with_capacity(self.natives.len()),
             ij_started: vec![0; self.streams.len()],
             rr_next: 0,
             next_ij_id: INTERSTITIAL_ID_BASE,
             machine_up: !self.faults.machine_outages().is_down(SimTime::ZERO),
-            void_events: BTreeMap::new(),
-            suspended: Vec::new(),
-            resume_meta: BTreeMap::new(),
+            suspended: VecDeque::new(),
+            ready: VecDeque::new(),
             killed: 0,
             wasted_cpu_seconds: 0.0,
-            faults: machine::FaultStats::default(),
-            retry_attempts: BTreeMap::new(),
-            retry_pending: BTreeMap::new(),
-            retry_ready: Vec::new(),
-            ledger: machine::ProgressLedger::new(),
+            faults: FaultStats::default(),
             user_pending: BTreeMap::new(),
             think: self.feedback.map(|(mean, seed)| {
                 (
@@ -506,30 +528,28 @@ impl Simulator {
 
         debug_assert!(st.running.is_empty(), "jobs still running at drain");
         debug_assert_eq!(st.pool.in_use(), 0);
-        debug_assert!(st.void_events.is_empty(), "unconsumed tombstones");
-        debug_assert!(st.retry_pending.is_empty(), "unfired retry releases");
+        debug_assert!(
+            st.jobs
+                .values()
+                .all(|j| !matches!(j.phase, Phase::Running | Phase::Backoff { .. })),
+            "a job is still running or backing off at drain"
+        );
         // Retries that never found room before the event queue ran dry are
         // abandoned work — including anything the recovery policy had
         // salvaged for them at earlier evictions. Same for evicted jobs
         // still parked in the suspended queue.
-        for p in &st.retry_ready {
-            if let Some(l) = st.ledger.take(p.job.id) {
-                let sunk = p.job.cpus as f64 * l.done.as_secs_f64();
-                st.faults.salvaged_cpu_seconds -= sunk;
-                st.faults.fault_wasted_cpu_seconds += sunk;
-                st.faults.interstitial_wasted_cpu_seconds += sunk;
-            }
+        for id in st.ready.iter().chain(&st.suspended) {
+            write_off(&mut st.faults, &st.jobs[id]);
         }
-        for s in &st.suspended {
-            if let Some(l) = st.ledger.take(s.job.id) {
-                let sunk = s.job.cpus as f64 * l.done.as_secs_f64();
-                st.faults.salvaged_cpu_seconds -= sunk;
-                st.faults.fault_wasted_cpu_seconds += sunk;
-                st.faults.interstitial_wasted_cpu_seconds += sunk;
-            }
-        }
-        st.faults.interstitial_given_up += st.retry_ready.len() as u64;
-        st.completed.sort_by_key(|c| (c.finish, c.job.id));
+        debug_assert!(
+            st.faults.salvaged_cpu_seconds >= 0.0,
+            "salvage over-reversed"
+        );
+        debug_assert!(st.faults.reexecuted_cpu_seconds >= 0.0);
+        st.faults.interstitial_given_up += st.ready.len() as u64;
+        // The keys are unique, so an unstable sort gives the same order
+        // without a scratch buffer.
+        st.completed.sort_unstable_by_key(|c| (c.finish, c.job.id));
         self.obs.metrics.inc("engine.events", steps);
         self.obs.metrics.gauge_set(
             "engine.end_time_s",
@@ -559,8 +579,8 @@ impl Simulator {
         if self.recovery != RecoveryPolicy::KillRestart {
             self.obs.work.record_recovery(
                 st.faults.checkpoints_taken,
-                st.faults.salvaged_cpu_seconds.max(0.0) as u64,
-                st.faults.reexecuted_cpu_seconds.max(0.0) as u64,
+                st.faults.salvaged_cpu_seconds as u64,
+                st.faults.reexecuted_cpu_seconds as u64,
             );
         }
         self.obs.mem = obs::alloc::since(&mem_mark);
@@ -598,25 +618,19 @@ impl Simulator {
                 self.obs.metrics.inc("jobs.submitted.native", 1);
                 self.scheduler.submit(job);
             }
-            Ev::Finish(id) => {
-                if let Some(n) = st.void_events.get_mut(&id) {
-                    // Job was preempted; this finish event is stale.
-                    *n -= 1;
-                    if *n == 0 {
-                        st.void_events.remove(&id);
+            Ev::Finish { id, gen } => {
+                let js = match st.jobs.entry(id) {
+                    Entry::Occupied(e) if e.get().phase == Phase::Running && e.get().gen == gen => {
+                        e.remove()
                     }
-                    return;
-                }
+                    // Stale: the job was evicted or restarted since.
+                    _ => return,
+                };
                 let rj = st.running.remove(id);
                 st.pool.release(rj.cpus);
-                let job = st.live.remove(&id).expect("live payload");
+                let job = js.job;
                 self.scheduler.charge_finish(now, &job);
-                let record = match st.resume_meta.remove(&id) {
-                    // A resumed checkpointed job: wallclock spans the
-                    // suspension(s).
-                    Some(first_start) => CompletedJob::with_finish(job, first_start, now),
-                    None => CompletedJob::new(job, rj.start),
-                };
+                let record = CompletedJob::with_finish(job, js.first_start, now);
                 let interstitial = job.class.is_interstitial();
                 self.obs.trace.record(
                     now,
@@ -629,9 +643,6 @@ impl Simulator {
                 );
                 if interstitial {
                     self.obs.metrics.inc("jobs.finished.interstitial", 1);
-                    // A recovered job's credited progress is realized; drop
-                    // the ledger entry (no-op under kill-restart — empty map).
-                    st.ledger.take(id);
                 } else {
                     self.obs.metrics.inc("jobs.finished.native", 1);
                     self.obs
@@ -678,8 +689,10 @@ impl Simulator {
                 self.obs.metrics.inc("faults.node_up", 1);
             }
             Ev::Retry(id) => {
-                if let Some(job) = st.retry_pending.remove(&id) {
-                    st.retry_ready.push(job);
+                let js = st.job_mut(id);
+                if let Phase::Backoff { remaining } = js.phase {
+                    js.phase = Phase::Ready { remaining };
+                    st.ready.push_back(id);
                 }
             }
             Ev::Kick => {}
@@ -738,8 +751,9 @@ impl Simulator {
     ) {
         let rj = st.running.remove(id);
         st.pool.release(rj.cpus);
-        *st.void_events.entry(id).or_insert(0) += 1;
-        let job = st.live.remove(&id).expect("live payload");
+        let js = st.job_mut(id);
+        js.attempts += 1;
+        let (job, attempts, done) = (js.job, js.attempts, js.done);
         let interstitial = job.class.is_interstitial();
         if !interstitial {
             st.faults.fault_wasted_cpu_seconds += rj.cpus as f64 * (now - rj.start).as_secs_f64();
@@ -760,110 +774,110 @@ impl Simulator {
             },
         );
         self.obs.metrics.inc("faults.job_killed", 1);
-        let attempts = {
-            let a = st.retry_attempts.entry(id).or_insert(0);
-            *a += 1;
-            *a
-        };
-        if interstitial {
-            let first_start = st.resume_meta.remove(&id).unwrap_or(rj.start);
-            let done = st.ledger.done_for(id);
+        let requeued = if interstitial {
+            // Kill-restart credits nothing, so remaining == job.runtime and
+            // every figure collapses to the legacy arithmetic.
             let elapsed = now - rj.start;
-            // Total credited progress after this eviction, per policy;
-            // kill-restart credits nothing, so remaining == job.runtime and
-            // every figure below collapses to the legacy arithmetic.
-            let credited = self.recovery.credited(done, elapsed);
-            let remaining = job.runtime.saturating_sub(credited);
+            let remaining = job
+                .runtime
+                .saturating_sub(self.recovery.credited(done, elapsed));
             let release = now + self.retry.backoff(attempts);
             if self.retry.gives_up_after(attempts) || release + remaining > self.horizon {
                 // Abandoned: this attempt's work, plus anything salvaged at
                 // earlier evictions, is all waste after all.
-                st.faults.fault_wasted_cpu_seconds += rj.cpus as f64 * elapsed.as_secs_f64();
-                st.faults.interstitial_wasted_cpu_seconds += rj.cpus as f64 * elapsed.as_secs_f64();
-                if let Some(p) = st.ledger.take(id) {
-                    let sunk = rj.cpus as f64 * p.done.as_secs_f64();
-                    st.faults.salvaged_cpu_seconds -= sunk;
-                    st.faults.fault_wasted_cpu_seconds += sunk;
-                    st.faults.interstitial_wasted_cpu_seconds += sunk;
-                }
-                st.faults.interstitial_given_up += 1;
-                self.obs.metrics.inc("faults.retry_given_up", 1);
-            } else {
-                let salvaged = credited.saturating_sub(done);
-                let lost = elapsed.saturating_sub(salvaged);
-                st.faults.fault_wasted_cpu_seconds += rj.cpus as f64 * lost.as_secs_f64();
-                st.faults.interstitial_wasted_cpu_seconds += rj.cpus as f64 * lost.as_secs_f64();
-                st.faults.salvaged_cpu_seconds += rj.cpus as f64 * salvaged.as_secs_f64();
-                if self.recovery != RecoveryPolicy::KillRestart {
-                    st.faults.reexecuted_cpu_seconds += rj.cpus as f64 * lost.as_secs_f64();
-                }
-                let ckpts = self.recovery.checkpoints_in(done, elapsed);
-                st.faults.checkpoints_taken += ckpts;
-                st.faults.checkpoint_overhead_cpu_seconds +=
-                    rj.cpus as f64 * (ckpts * CHECKPOINT_OVERHEAD_S) as f64;
-                if !credited.is_zero() {
-                    st.ledger.credit(id, credited, first_start);
-                }
-                match self.recovery {
-                    RecoveryPolicy::KillRestart => {}
-                    RecoveryPolicy::Checkpoint { .. } => {
-                        self.obs.trace.record(
-                            now,
-                            EventKind::JobCheckpointed {
-                                job: id,
-                                checkpoints: u32::try_from(ckpts).unwrap_or(u32::MAX),
-                                salvaged_s: credited.as_secs(),
-                                lost_s: (done + elapsed).saturating_sub(credited).as_secs(),
-                            },
-                        );
-                        self.obs.metrics.inc("recovery.checkpoint_evictions", 1);
-                    }
-                    RecoveryPolicy::SuspendResume => {
-                        self.obs.trace.record(
-                            now,
-                            EventKind::JobSuspended {
-                                job: id,
-                                remaining_s: remaining.as_secs(),
-                            },
-                        );
-                        self.obs.metrics.inc("recovery.suspensions", 1);
-                    }
-                }
-                st.faults.interstitial_retries += 1;
-                st.retry_pending.insert(
-                    id,
-                    PendingRetry {
-                        job,
-                        remaining,
-                        first_start: if credited.is_zero() {
-                            None
-                        } else {
-                            Some(first_start)
-                        },
-                    },
-                );
-                q.schedule(release, Ev::Retry(id));
-                self.obs.trace.record(
-                    now,
-                    EventKind::JobRequeued {
-                        job: id,
-                        attempt: attempts,
-                    },
-                );
-                self.obs.metrics.inc("faults.retry_scheduled", 1);
+                let wasted = rj.cpus as f64 * elapsed.as_secs_f64();
+                st.faults.fault_wasted_cpu_seconds += wasted;
+                st.faults.interstitial_wasted_cpu_seconds += wasted;
+                self.give_up(id, st);
+                return;
             }
+            let (lost, remaining) = self.credit_eviction(now, &rj, st);
+            st.faults.fault_wasted_cpu_seconds += lost;
+            st.faults.interstitial_wasted_cpu_seconds += lost;
+            st.job_mut(id).phase = Phase::Backoff { remaining };
+            st.faults.interstitial_retries += 1;
+            q.schedule(release, Ev::Retry(id));
+            "faults.retry_scheduled"
         } else {
+            st.job_mut(id).phase = Phase::Requeued;
             st.faults.native_requeues += 1;
             self.scheduler.requeue_front(job);
-            self.obs.trace.record(
-                now,
-                EventKind::JobRequeued {
-                    job: id,
-                    attempt: attempts,
-                },
-            );
-            self.obs.metrics.inc("faults.native_requeued", 1);
+            "faults.native_requeued"
+        };
+        self.obs.trace.record(
+            now,
+            EventKind::JobRequeued {
+                job: id,
+                attempt: attempts,
+            },
+        );
+        self.obs.metrics.inc(requeued, 1);
+    }
+
+    /// Credit an evicted interstitial job's progress per the recovery
+    /// policy: book the salvage, the re-executed remainder and the
+    /// checkpoint overhead, record the policy's trace event, and leave the
+    /// job holding its new `done`. Returns the lost CPU·s, which the caller
+    /// books to its own waste bucket, and the work the job still has to
+    /// run.
+    fn credit_eviction(
+        &mut self,
+        now: SimTime,
+        rj: &RunningJob,
+        st: &mut RunState,
+    ) -> (f64, SimDuration) {
+        let elapsed = now - rj.start;
+        let js = st.job_mut(rj.id);
+        let done = js.done;
+        let credited = self.recovery.credited(done, elapsed);
+        js.done = credited;
+        let remaining = js.job.runtime.saturating_sub(credited);
+        let salvaged = credited.saturating_sub(done);
+        let lost = elapsed.saturating_sub(salvaged);
+        let cpus = rj.cpus as f64;
+        st.faults.salvaged_cpu_seconds += cpus * salvaged.as_secs_f64();
+        if self.recovery != RecoveryPolicy::KillRestart {
+            st.faults.reexecuted_cpu_seconds += cpus * lost.as_secs_f64();
         }
+        let ckpts = self.recovery.checkpoints_in(done, elapsed);
+        st.faults.checkpoints_taken += ckpts;
+        st.faults.checkpoint_overhead_cpu_seconds += cpus * (ckpts * CHECKPOINT_OVERHEAD_S) as f64;
+        match self.recovery {
+            RecoveryPolicy::KillRestart => {}
+            RecoveryPolicy::Checkpoint { .. } => {
+                self.obs.trace.record(
+                    now,
+                    EventKind::JobCheckpointed {
+                        job: rj.id,
+                        checkpoints: u32::try_from(ckpts).unwrap_or(u32::MAX),
+                        salvaged_s: credited.as_secs(),
+                        lost_s: (done + elapsed).saturating_sub(credited).as_secs(),
+                    },
+                );
+                self.obs.metrics.inc("recovery.checkpoint_evictions", 1);
+            }
+            RecoveryPolicy::SuspendResume => {
+                self.obs.trace.record(
+                    now,
+                    EventKind::JobSuspended {
+                        job: rj.id,
+                        remaining_s: remaining.as_secs(),
+                    },
+                );
+                self.obs.metrics.inc("recovery.suspensions", 1);
+            }
+        }
+        (cpus * lost.as_secs_f64(), remaining)
+    }
+
+    /// Abandon an evicted interstitial job for good (retry budget or
+    /// horizon exhausted).
+    fn give_up(&mut self, id: u64, st: &mut RunState) {
+        if let Some(js) = st.jobs.remove(&id) {
+            write_off(&mut st.faults, &js);
+        }
+        st.faults.interstitial_given_up += 1;
+        self.obs.metrics.inc("faults.retry_given_up", 1);
     }
 
     /// One scheduling pass: (extension) preempt interstitial jobs blocking
@@ -894,7 +908,7 @@ impl Simulator {
             } else {
                 StartKind::Backfill
             };
-            Self::start_job(now, job, st, q, false, kind, &mut self.obs);
+            Self::start_job(now, job, job.runtime, st, q, kind, &mut self.obs);
         }
         self.check_conservation(now, st);
         if st.machine_up {
@@ -1060,7 +1074,7 @@ impl Simulator {
             .iter()
             .filter(|r| r.interstitial)
             .filter(|r| {
-                let job = &st.live[&r.id];
+                let job = &st.jobs[&r.id].job;
                 self.streams[stream_of(job.user)].2.preemption != Preemption::None
             })
             .map(|r| (r.start, r.id, r.cpus))
@@ -1077,11 +1091,10 @@ impl Simulator {
             }
             let rj = st.running.remove(id);
             st.pool.release(rj.cpus);
-            *st.void_events.entry(id).or_insert(0) += 1;
-            let job = st.live.remove(&id).expect("live payload");
-            let stream = stream_of(job.user);
+            let stream = stream_of(st.jobs[&id].job.user);
             match self.streams[stream].2.preemption {
                 Preemption::Kill if self.recovery == RecoveryPolicy::KillRestart => {
+                    st.jobs.remove(&id);
                     st.killed += 1;
                     let worked = (now - rj.start).as_secs_f64();
                     st.wasted_cpu_seconds += rj.cpus as f64 * worked;
@@ -1097,33 +1110,7 @@ impl Simulator {
                     );
                     self.obs.metrics.inc("preempt.killed", 1);
                 }
-                Preemption::Kill => {
-                    // A recovery policy turns the kill into an eviction:
-                    // credited progress survives in the ledger and the job
-                    // waits in the suspended queue holding only its
-                    // remainder (and its stream budget — it is not redone).
-                    let first_start = st.resume_meta.remove(&id).unwrap_or(rj.start);
-                    let done = st.ledger.done_for(id);
-                    let elapsed = now - rj.start;
-                    let credited = self.recovery.credited(done, elapsed);
-                    let remaining = job.runtime.saturating_sub(credited);
-                    let salvaged = credited.saturating_sub(done);
-                    let lost = elapsed.saturating_sub(salvaged);
-                    st.wasted_cpu_seconds += rj.cpus as f64 * lost.as_secs_f64();
-                    st.faults.salvaged_cpu_seconds += rj.cpus as f64 * salvaged.as_secs_f64();
-                    st.faults.reexecuted_cpu_seconds += rj.cpus as f64 * lost.as_secs_f64();
-                    let ckpts = self.recovery.checkpoints_in(done, elapsed);
-                    st.faults.checkpoints_taken += ckpts;
-                    st.faults.checkpoint_overhead_cpu_seconds +=
-                        rj.cpus as f64 * (ckpts * CHECKPOINT_OVERHEAD_S) as f64;
-                    if !credited.is_zero() {
-                        st.ledger.credit(id, credited, first_start);
-                    }
-                    st.suspended.push(Suspended {
-                        job,
-                        first_start,
-                        remaining,
-                    });
+                flavor @ (Preemption::Kill | Preemption::Checkpoint) => {
                     self.obs.trace.record(
                         now,
                         EventKind::Preempt {
@@ -1132,47 +1119,19 @@ impl Simulator {
                             kind: obs::PreemptKind::Checkpoint,
                         },
                     );
-                    match self.recovery {
-                        RecoveryPolicy::Checkpoint { .. } => {
-                            self.obs.trace.record(
-                                now,
-                                EventKind::JobCheckpointed {
-                                    job: id,
-                                    checkpoints: u32::try_from(ckpts).unwrap_or(u32::MAX),
-                                    salvaged_s: credited.as_secs(),
-                                    lost_s: (done + elapsed).saturating_sub(credited).as_secs(),
-                                },
-                            );
-                            self.obs.metrics.inc("recovery.checkpoint_evictions", 1);
-                        }
-                        _ => {
-                            self.obs.trace.record(
-                                now,
-                                EventKind::JobSuspended {
-                                    job: id,
-                                    remaining_s: remaining.as_secs(),
-                                },
-                            );
-                            self.obs.metrics.inc("recovery.suspensions", 1);
-                        }
-                    }
-                    self.obs.metrics.inc("preempt.checkpointed", 1);
-                }
-                Preemption::Checkpoint => {
-                    let first_start = st.resume_meta.remove(&id).unwrap_or(rj.start);
-                    st.suspended.push(Suspended {
-                        job,
-                        first_start,
-                        remaining: rj.actual_end - now,
-                    });
-                    self.obs.trace.record(
-                        now,
-                        EventKind::Preempt {
-                            job: id,
-                            cpus,
-                            kind: obs::PreemptKind::Checkpoint,
-                        },
-                    );
+                    let remaining = if flavor == Preemption::Kill {
+                        // A recovery policy turns the kill into an eviction:
+                        // credited progress survives and the job waits in
+                        // the suspended queue holding only its remainder
+                        // (and its stream budget — it is not redone).
+                        let (lost, remaining) = self.credit_eviction(now, &rj, st);
+                        st.wasted_cpu_seconds += lost;
+                        remaining
+                    } else {
+                        rj.actual_end - now
+                    };
+                    st.job_mut(id).phase = Phase::Suspended { remaining };
+                    st.suspended.push_back(id);
                     self.obs.metrics.inc("preempt.checkpointed", 1);
                 }
                 Preemption::None => unreachable!("victims are preemptible"),
@@ -1181,20 +1140,24 @@ impl Simulator {
         }
     }
 
+    /// Start (or restart, or resume) `job` with `run` of work left.
+    /// Interstitial runtimes are exactly known, so they plan on their true
+    /// end; natives plan on their estimate.
     fn start_job(
         now: SimTime,
         job: Job,
+        run: SimDuration,
         st: &mut RunState,
         q: &mut EventQueue<Ev>,
-        exact: bool,
         kind: StartKind,
         observer: &mut Obs,
     ) {
         st.pool
             .allocate(job.cpus)
             .expect("dispatch plan oversubscribed the pool");
-        let actual_end = now + job.runtime;
-        let estimated_end = if exact {
+        let interstitial = job.class.is_interstitial();
+        let actual_end = now + run;
+        let estimated_end = if interstitial {
             actual_end
         } else {
             now + job.planning_estimate()
@@ -1205,9 +1168,23 @@ impl Simulator {
             start: now,
             actual_end,
             estimated_end,
-            interstitial: job.class.is_interstitial(),
+            interstitial,
         });
-        st.live.insert(job.id, job);
+        let js = st.jobs.entry(job.id).or_insert(JobState {
+            job,
+            gen: 0,
+            attempts: 0,
+            done: SimDuration::ZERO,
+            first_start: now,
+            phase: Phase::Running,
+        });
+        js.job = job;
+        js.gen += 1;
+        js.phase = Phase::Running;
+        if kind != StartKind::Resume {
+            js.first_start = now;
+        }
+        let gen = js.gen;
         observer.trace.record(
             now,
             EventKind::Start {
@@ -1225,7 +1202,31 @@ impl Simulator {
             },
             1,
         );
-        q.schedule(actual_end, Ev::Finish(job.id));
+        q.schedule(actual_end, Ev::Finish { id: job.id, gen });
+    }
+
+    /// Resume an evicted interstitial job on its `remaining` work; its
+    /// completed record spans back to its first start.
+    fn resume(
+        &mut self,
+        now: SimTime,
+        id: u64,
+        remaining: SimDuration,
+        st: &mut RunState,
+        q: &mut EventQueue<Ev>,
+    ) {
+        let job = st.job_mut(id).job;
+        Self::start_job(now, job, remaining, st, q, StartKind::Resume, &mut self.obs);
+        if self.recovery != RecoveryPolicy::KillRestart {
+            st.faults.interstitial_resumes += 1;
+            self.obs.trace.record(
+                now,
+                EventKind::JobResumed {
+                    job: id,
+                    remaining_s: remaining.as_secs(),
+                },
+            );
+        }
     }
 
     /// Is `stream` allowed to start one job of duration `dur` right now?
@@ -1257,137 +1258,55 @@ impl Simulator {
             return;
         }
 
-        // Resume checkpointed jobs first — they are already inside their
+        // Resume preempted jobs first — they are already inside their
         // stream's started budget and carry only their remaining work.
-        while let Some(susp) = st.suspended.first() {
-            let policy = &self.streams[susp.job.user as usize].2;
-            if !st.pool.can_fit(susp.job.cpus)
-                || policy.cap_allowance(st.pool.in_use(), st.pool.total(), susp.job.cpus) == 0
+        while let Some(&id) = st.suspended.front() {
+            let js = &st.jobs[&id];
+            let Phase::Suspended { remaining } = js.phase else {
+                unreachable!("the suspended queue holds suspended jobs")
+            };
+            let cpus = js.job.cpus;
+            let policy = &self.streams[js.job.user as usize].2;
+            if !st.pool.can_fit(cpus)
+                || policy.cap_allowance(st.pool.in_use(), st.pool.total(), cpus) == 0
             {
                 break;
             }
-            let susp = st.suspended.remove(0);
-            let id = susp.job.id;
-            st.pool
-                .allocate(susp.job.cpus)
-                .expect("checked can_fit above");
-            let actual_end = now + susp.remaining;
-            st.running.insert(machine::RunningJob {
-                id,
-                cpus: susp.job.cpus,
-                start: now,
-                actual_end,
-                estimated_end: actual_end,
-                interstitial: true,
-            });
-            st.resume_meta.insert(id, susp.first_start);
-            self.obs.trace.record(
-                now,
-                EventKind::Start {
-                    job: id,
-                    cpus: susp.job.cpus,
-                    kind: StartKind::Resume,
-                },
-            );
-            self.obs.metrics.inc("jobs.started.resumed", 1);
-            if self.recovery != RecoveryPolicy::KillRestart {
-                st.faults.interstitial_resumes += 1;
-                self.obs.trace.record(
-                    now,
-                    EventKind::JobResumed {
-                        job: id,
-                        remaining_s: susp.remaining.as_secs(),
-                    },
-                );
-            }
-            st.live.insert(id, susp.job);
-            q.schedule(actual_end, Ev::Finish(id));
+            st.suspended.pop_front();
+            self.resume(now, id, remaining, st, q);
         }
 
         // Fault victims whose backoff expired restart before fresh
         // submissions: their loss is sunk cost and they already hold stream
         // budget. The Figure 1 guard still applies — a retry must not delay
         // the native head any more than a fresh job may.
-        if !st.retry_ready.is_empty() {
-            let ready = std::mem::take(&mut st.retry_ready);
-            for retry in ready {
-                let PendingRetry {
-                    job,
-                    remaining,
-                    first_start,
-                } = retry;
-                let (_, _, policy) = self.streams[job.user as usize];
-                if now + remaining > self.horizon {
-                    // Too late even for the credited remainder: whatever was
-                    // salvaged at earlier evictions is waste after all.
-                    if let Some(p) = st.ledger.take(job.id) {
-                        let sunk = job.cpus as f64 * p.done.as_secs_f64();
-                        st.faults.salvaged_cpu_seconds -= sunk;
-                        st.faults.fault_wasted_cpu_seconds += sunk;
-                        st.faults.interstitial_wasted_cpu_seconds += sunk;
-                    }
-                    st.faults.interstitial_given_up += 1;
-                    self.obs.metrics.inc("faults.retry_given_up", 1);
-                } else if st.pool.can_fit(job.cpus)
-                    && policy.cap_allowance(st.pool.in_use(), st.pool.total(), job.cpus) != 0
-                    && self.stream_guard_ok(now, &policy, remaining)
-                {
-                    self.obs.metrics.inc("faults.retry_started", 1);
-                    match first_start {
-                        // Kill-restart: from scratch (remaining == runtime).
-                        None => Self::start_job(
-                            now,
-                            job,
-                            st,
-                            q,
-                            true,
-                            StartKind::Interstitial,
-                            &mut self.obs,
-                        ),
-                        // Credited restart: only the remainder runs, and the
-                        // completed record's wallclock spans back to the
-                        // first start.
-                        Some(fs) => {
-                            let id = job.id;
-                            st.pool.allocate(job.cpus).expect("checked can_fit above");
-                            let actual_end = now + remaining;
-                            st.running.insert(machine::RunningJob {
-                                id,
-                                cpus: job.cpus,
-                                start: now,
-                                actual_end,
-                                estimated_end: actual_end,
-                                interstitial: true,
-                            });
-                            st.resume_meta.insert(id, fs);
-                            st.faults.interstitial_resumes += 1;
-                            self.obs.trace.record(
-                                now,
-                                EventKind::Start {
-                                    job: id,
-                                    cpus: job.cpus,
-                                    kind: StartKind::Resume,
-                                },
-                            );
-                            self.obs.trace.record(
-                                now,
-                                EventKind::JobResumed {
-                                    job: id,
-                                    remaining_s: remaining.as_secs(),
-                                },
-                            );
-                            self.obs.metrics.inc("jobs.started.resumed", 1);
-                            st.live.insert(id, job);
-                            q.schedule(actual_end, Ev::Finish(id));
-                        }
-                    }
+        for _ in 0..st.ready.len() {
+            let Some(id) = st.ready.pop_front() else {
+                break;
+            };
+            let js = &st.jobs[&id];
+            let Phase::Ready { remaining } = js.phase else {
+                unreachable!("the ready queue holds ready jobs")
+            };
+            let (job, credited) = (js.job, !js.done.is_zero());
+            let (_, _, policy) = self.streams[job.user as usize];
+            if now + remaining > self.horizon {
+                // Too late even for the credited remainder.
+                self.give_up(id, st);
+            } else if st.pool.can_fit(job.cpus)
+                && policy.cap_allowance(st.pool.in_use(), st.pool.total(), job.cpus) != 0
+                && self.stream_guard_ok(now, &policy, remaining)
+            {
+                self.obs.metrics.inc("faults.retry_started", 1);
+                if credited {
+                    self.resume(now, id, remaining, st, q);
                 } else {
-                    st.retry_ready.push(PendingRetry {
-                        job,
-                        remaining,
-                        first_start,
-                    });
+                    // Nothing credited: from scratch (remaining == runtime).
+                    let kind = StartKind::Interstitial;
+                    Self::start_job(now, job, remaining, st, q, kind, &mut self.obs);
                 }
+            } else {
+                st.ready.push_back(id);
             }
         }
 
@@ -1421,13 +1340,12 @@ impl Simulator {
 
         // Round-robin one job at a time across the eligible streams so
         // concurrent projects share the interstices fairly.
-        let mut budgets: Vec<u64> = live.iter().map(|&(_, _, _, b)| b).collect();
         let mut cursor = st.rr_next % live.len();
         let mut stuck = 0usize;
         while stuck < live.len() {
-            let (i, cpus, dur, _) = live[cursor];
+            let (i, cpus, dur, budget) = live[cursor];
             let policy = &self.streams[i].2;
-            if budgets[cursor] == 0
+            if budget == 0
                 || !st.pool.can_fit(cpus)
                 || policy.cap_allowance(st.pool.in_use(), st.pool.total(), cpus) == 0
             {
@@ -1436,7 +1354,7 @@ impl Simulator {
                 continue;
             }
             stuck = 0;
-            budgets[cursor] -= 1;
+            live[cursor].3 -= 1;
             let id = st.next_ij_id;
             st.next_ij_id += 1;
             st.ij_started[i] += 1;
@@ -1462,15 +1380,7 @@ impl Simulator {
                 },
             );
             self.obs.metrics.inc("jobs.submitted.interstitial", 1);
-            Self::start_job(
-                now,
-                job,
-                st,
-                q,
-                true,
-                StartKind::Interstitial,
-                &mut self.obs,
-            );
+            Self::start_job(now, job, dur, st, q, StartKind::Interstitial, &mut self.obs);
             cursor = (cursor + 1) % live.len();
         }
         st.rr_next = (st.rr_next + 1) % live.len();

@@ -246,84 +246,6 @@ impl FaultModel {
     }
 }
 
-/// Credited progress for one interstitial job across evictions.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct JobProgress {
-    /// Work completed and credited so far (checkpointed or suspended).
-    pub done: SimDuration,
-    /// When the job first started executing (wallclock anchor for wait
-    /// and turnaround accounting across interruptions).
-    pub first_start: SimTime,
-    /// Evictions survived so far with credited progress.
-    pub interruptions: u32,
-}
-
-/// Per-job progress ledger for the checkpoint and suspend-resume recovery
-/// policies.
-///
-/// The ledger is the recovery subsystem's source of truth for "how much of
-/// this job already ran": the driver credits progress on every eviction and
-/// consumes the entry when the job finally completes or is abandoned. Under
-/// kill-restart the ledger stays empty, which is what keeps the legacy path
-/// bit-identical. BTreeMap keyed by job id — deterministic iteration, per
-/// simlint R1.
-#[derive(Clone, Debug, Default)]
-pub struct ProgressLedger {
-    entries: std::collections::BTreeMap<u64, JobProgress>,
-}
-
-impl ProgressLedger {
-    /// An empty ledger.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Credited progress for `job`, zero if never evicted with credit.
-    pub fn done_for(&self, job: u64) -> SimDuration {
-        self.entries
-            .get(&job)
-            .map(|p| p.done)
-            .unwrap_or(SimDuration::ZERO)
-    }
-
-    /// The full entry for `job`, if any.
-    pub fn get(&self, job: u64) -> Option<&JobProgress> {
-        self.entries.get(&job)
-    }
-
-    /// Credit `done` total progress to `job` (replaces any prior credit —
-    /// the caller passes the new cumulative figure). `first_start` is kept
-    /// from the first credit.
-    pub fn credit(&mut self, job: u64, done: SimDuration, first_start: SimTime) {
-        self.entries
-            .entry(job)
-            .and_modify(|p| {
-                p.done = done;
-                p.interruptions += 1;
-            })
-            .or_insert(JobProgress {
-                done,
-                first_start,
-                interruptions: 1,
-            });
-    }
-
-    /// Remove and return the entry for `job` (at completion or abandonment).
-    pub fn take(&mut self, job: u64) -> Option<JobProgress> {
-        self.entries.remove(&job)
-    }
-
-    /// Number of jobs with credited progress.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no job has credited progress.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 /// One fault-induced job kill, recorded for survival analysis.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KilledJob {
@@ -458,28 +380,6 @@ mod tests {
 
         let err = FaultSpec::parse("mtbf=1,mttr=0,nodes=2").unwrap_err();
         assert!(err.contains("mttr must be positive seconds"), "{err}");
-    }
-
-    #[test]
-    fn progress_ledger_credits_and_consumes() {
-        let mut ledger = ProgressLedger::new();
-        assert!(ledger.is_empty());
-        assert_eq!(ledger.done_for(7), SimDuration::ZERO);
-        ledger.credit(7, SimDuration::from_secs(300), t(1000));
-        ledger.credit(9, SimDuration::from_secs(50), t(2000));
-        assert_eq!(ledger.len(), 2);
-        assert_eq!(ledger.done_for(7), SimDuration::from_secs(300));
-        // A second eviction replaces the cumulative figure but keeps the
-        // original wallclock anchor.
-        ledger.credit(7, SimDuration::from_secs(450), t(5000));
-        let p = ledger.get(7).unwrap();
-        assert_eq!(p.done, SimDuration::from_secs(450));
-        assert_eq!(p.first_start, t(1000), "first start survives re-credit");
-        assert_eq!(p.interruptions, 2);
-        let taken = ledger.take(7).unwrap();
-        assert_eq!(taken.done, SimDuration::from_secs(450));
-        assert!(ledger.take(7).is_none(), "consumed");
-        assert_eq!(ledger.len(), 1);
     }
 
     #[test]

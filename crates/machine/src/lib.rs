@@ -36,9 +36,7 @@ pub mod profile;
 pub mod running;
 
 pub use config::{MachineConfig, QueueSystem};
-pub use fault::{
-    FaultModel, FaultSpec, FaultStats, JobProgress, KilledJob, NodeFaults, ProgressLedger,
-};
+pub use fault::{FaultModel, FaultSpec, FaultStats, KilledJob, NodeFaults};
 pub use outage::OutageSchedule;
 pub use pool::CpuPool;
 pub use profile::{EndIndex, IndexedFreeProfile};
