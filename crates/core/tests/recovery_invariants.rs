@@ -4,7 +4,8 @@
 //! self-consistent (overhead exactly 10 CPU·s per CPU per checkpoint,
 //! nothing re-executed under suspend, and the policy frontier on
 //! interstitial waste: suspend ≤ checkpoint ≤ kill). Preempting streams
-//! under faults are pinned by digest for every preemption × recovery pair.
+//! under faults are pinned by digest for every preemption × recovery pair,
+//! and their metrics and telemetry exports are pinned beside the trace.
 
 use interstitial::driver::SimBuilder;
 use interstitial::policy::{
@@ -14,8 +15,9 @@ use interstitial::policy::{
 use interstitial::project::InterstitialProject;
 use interstitial::report::SimOutput;
 use machine::config::ross;
-use machine::{FaultModel, FaultSpec};
-use obs::Obs;
+use machine::{FaultModel, FaultSpec, OutageSchedule};
+use obs::telemetry::{AnnotationKind, TelemetryBus, DRIVER_SIGNALS};
+use obs::{EventKind, Obs, PreemptKind, SloSpec, StartKind};
 use simkit::time::{SimDuration, SimTime};
 use workload::traces::native_trace;
 
@@ -162,16 +164,27 @@ fn interstitial_waste_frontier_suspend_ckpt_kill() {
     );
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold `bytes` into the FNV-1a state `h`.
+fn fnv(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h = (*h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+    }
+}
+
+fn fnv_of(text: &str) -> u64 {
+    let mut h = FNV_OFFSET;
+    fnv(&mut h, text.as_bytes());
+    h
+}
+
 /// FNV-1a over everything a preempting faulted replay computes: the job
 /// log, the trace bytes, the preemption kill tally and every fault/recovery
 /// figure (floats by bit pattern, so a last-bit drift fails the pin).
 fn digest(out: &SimOutput) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-    };
+    let mut h = FNV_OFFSET;
+    let mut eat = |bytes: &[u8]| fnv(&mut h, bytes);
     for (id, start, finish) in fingerprint(out) {
         for v in [id, start, finish] {
             eat(&v.to_le_bytes());
@@ -264,5 +277,266 @@ fn preempting_streams_under_faults_are_pinned() {
             assert!(out.faults.interstitial_resumes > 0, "{what}: no resume");
         }
         assert_eq!(digest(&out), pin, "{what}: digest {:#018x}", digest(&out));
+    }
+}
+
+/// Selects the trace events of one kind.
+type EventFilter = fn(&EventKind) -> bool;
+
+/// The counters a metrics registry derives from trace events, each paired
+/// with the events that drive it.
+const EVENT_COUNTERS: [(&str, EventFilter); 16] = [
+    ("jobs.submitted.native", |k| {
+        matches!(
+            k,
+            EventKind::Submit {
+                interstitial: false,
+                ..
+            }
+        )
+    }),
+    ("jobs.submitted.interstitial", |k| {
+        matches!(
+            k,
+            EventKind::Submit {
+                interstitial: true,
+                ..
+            }
+        )
+    }),
+    ("jobs.started.inorder", |k| {
+        matches!(
+            k,
+            EventKind::Start {
+                kind: StartKind::InOrder,
+                ..
+            }
+        )
+    }),
+    ("jobs.started.backfill", |k| {
+        matches!(
+            k,
+            EventKind::Start {
+                kind: StartKind::Backfill,
+                ..
+            }
+        )
+    }),
+    ("jobs.started.interstitial", |k| {
+        matches!(
+            k,
+            EventKind::Start {
+                kind: StartKind::Interstitial,
+                ..
+            }
+        )
+    }),
+    ("jobs.started.resumed", |k| {
+        matches!(
+            k,
+            EventKind::Start {
+                kind: StartKind::Resume,
+                ..
+            }
+        )
+    }),
+    ("jobs.finished.native", |k| {
+        matches!(
+            k,
+            EventKind::Finish {
+                interstitial: false,
+                ..
+            }
+        )
+    }),
+    ("jobs.finished.interstitial", |k| {
+        matches!(
+            k,
+            EventKind::Finish {
+                interstitial: true,
+                ..
+            }
+        )
+    }),
+    ("preempt.killed", |k| {
+        matches!(
+            k,
+            EventKind::Preempt {
+                kind: PreemptKind::Kill,
+                ..
+            }
+        )
+    }),
+    ("preempt.checkpointed", |k| {
+        matches!(
+            k,
+            EventKind::Preempt {
+                kind: PreemptKind::Checkpoint,
+                ..
+            }
+        )
+    }),
+    ("outages.boundaries", |k| {
+        matches!(k, EventKind::Outage { .. })
+    }),
+    ("faults.node_down", |k| {
+        matches!(k, EventKind::NodeDown { .. })
+    }),
+    ("faults.node_up", |k| matches!(k, EventKind::NodeUp { .. })),
+    ("faults.job_killed", |k| {
+        matches!(k, EventKind::JobFailed { .. })
+    }),
+    ("recovery.checkpoint_evictions", |k| {
+        matches!(k, EventKind::JobCheckpointed { .. })
+    }),
+    ("recovery.suspensions", |k| {
+        matches!(k, EventKind::JobSuspended { .. })
+    }),
+];
+
+#[test]
+fn faulted_metrics_and_telemetry_exports_are_pinned() {
+    // The golden metrics files cover fault-free runs only and the trace
+    // digests above ignore metrics and telemetry, so these pins are what
+    // notices a drifting fault, recovery, preemption or outage counter, or
+    // a lost dashboard annotation. One whole-machine outage and an SLO that
+    // breaches and clears exercise every annotation kind.
+    const PINS: [(Preemption, &str, u64, u64); 3] = [
+        (
+            Preemption::Kill,
+            "kill",
+            0xc1c6_994c_1fc9_9df4,
+            0x383e_9810_8d23_d93a,
+        ),
+        (
+            Preemption::Kill,
+            "ckpt=300",
+            0x5fc1_ed5c_cb99_9327,
+            0x5922_afe1_e833_b452,
+        ),
+        (
+            Preemption::Checkpoint,
+            "suspend",
+            0x867b_c2a6_2fcc_bda5,
+            0x830e_1b71_3530_dd00,
+        ),
+    ];
+    let cfg = ross();
+    let horizon = SimTime::from_days(5);
+    let natives: Vec<_> = native_trace(&cfg, 37)
+        .into_iter()
+        .filter(|j| j.submit < horizon)
+        .collect();
+    let spec = FaultSpec::parse("mtbf=172800,mttr=7200,nodes=16,seed=5").unwrap();
+    let outage = (
+        SimTime::from_days(2),
+        SimTime::from_secs(2 * 86_400 + 14_400),
+    );
+    let faults = FaultModel::synthesize(&spec, cfg.cpus, horizon)
+        .with_outages(OutageSchedule::from_windows(vec![outage]));
+    let mut seen_counters = std::collections::BTreeSet::new();
+    let mut seen_annotations = std::collections::BTreeSet::new();
+    for (preemption, recovery, metrics_pin, telemetry_pin) in PINS {
+        let policy = InterstitialPolicy {
+            preemption,
+            ..InterstitialPolicy::default()
+        };
+        let mut observer = Obs::enabled();
+        observer.telemetry = TelemetryBus::enabled(3_600, DRIVER_SIGNALS);
+        let out = SimBuilder::new(cfg.clone())
+            .natives(natives.clone())
+            .horizon(horizon)
+            .faults(faults.clone())
+            .recovery(RecoveryPolicy::parse(recovery).unwrap())
+            // Kill-restart gives a fault victim up at once; the recovery
+            // runs retry it.
+            .retry(RetryPolicy {
+                max_attempts: if recovery == "kill" { 1 } else { 5 },
+                ..RetryPolicy::default()
+            })
+            .interstitial(
+                InterstitialProject::per_paper(u64::MAX / 2, STREAM_CPUS, 300.0),
+                InterstitialMode::Continual,
+                policy,
+            )
+            .slo(SloSpec::parse("util>=0.85").unwrap())
+            .observer(observer)
+            .build()
+            .run();
+        let what = format!("{preemption:?} x {recovery}");
+        let metrics = &out.obs.metrics;
+        let events = out.obs.trace.events();
+        let traced =
+            |f: fn(&EventKind) -> bool| events.iter().filter(|e| f(&e.kind)).count() as u64;
+        for (name, matches) in EVENT_COUNTERS {
+            assert_eq!(metrics.counter(name), traced(matches), "{what}: {name}");
+        }
+        assert_eq!(
+            metrics.counter("faults.native_requeued") + metrics.counter("faults.retry_scheduled"),
+            traced(|k| matches!(k, EventKind::JobRequeued { .. })),
+            "{what}: every requeue event is a native requeue or a scheduled retry"
+        );
+        let snap = metrics.snapshot();
+        assert_eq!(
+            snap.histograms.get("wait.native_s").map_or(0, |h| h.count),
+            metrics.counter("jobs.finished.native"),
+            "{what}: one native wait per native finish"
+        );
+        let anns = out.obs.telemetry.annotations();
+        let annotated = |kind| anns.iter().filter(|a| a.kind == kind).count() as u64;
+        assert_eq!(
+            annotated(AnnotationKind::MachineDown) + annotated(AnnotationKind::MachineUp),
+            metrics.counter("outages.boundaries"),
+            "{what}: one overlay per outage boundary"
+        );
+        assert_eq!(
+            annotated(AnnotationKind::Breach),
+            traced(|k| matches!(k, EventKind::SloBreach { .. })),
+            "{what}: one annotation per breach"
+        );
+        assert_eq!(
+            annotated(AnnotationKind::Clear),
+            traced(|k| matches!(k, EventKind::SloClear { .. })),
+            "{what}: one annotation per clear"
+        );
+        seen_counters.extend(snap.counters.keys().copied());
+        seen_annotations.extend(anns.iter().map(|a| a.kind.tag()));
+        let report = out.obs.run_report().to_json_deterministic();
+        let telemetry = out.obs.telemetry.to_jsonl();
+        assert_eq!(
+            (fnv_of(&report), fnv_of(&telemetry)),
+            (metrics_pin, telemetry_pin),
+            "{what}: metrics {:#018x}, telemetry {:#018x}",
+            fnv_of(&report),
+            fnv_of(&telemetry)
+        );
+    }
+    for name in [
+        "faults.node_down",
+        "faults.node_up",
+        "faults.job_killed",
+        "faults.native_requeued",
+        "faults.retry_scheduled",
+        "faults.retry_started",
+        "faults.retry_given_up",
+        "recovery.checkpoint_evictions",
+        "recovery.suspensions",
+        "preempt.killed",
+        "preempt.checkpointed",
+        "outages.boundaries",
+    ] {
+        assert!(seen_counters.contains(name), "no run counted {name}");
+    }
+    for kind in [
+        AnnotationKind::Breach,
+        AnnotationKind::Clear,
+        AnnotationKind::MachineDown,
+        AnnotationKind::MachineUp,
+    ] {
+        assert!(
+            seen_annotations.contains(kind.tag()),
+            "no run annotated {}",
+            kind.tag()
+        );
     }
 }
