@@ -30,7 +30,7 @@ use crate::report::SimOutput;
 use machine::{
     CpuPool, FaultModel, FaultStats, MachineConfig, OutageSchedule, RunningJob, RunningSet,
 };
-use obs::telemetry::AnnotationKind;
+use obs::recorder::CycleTotals;
 use obs::{EventKind, Obs, SloSpec, SloWatchdog, StartKind};
 use sched::Scheduler;
 use simkit::event::EventQueue;
@@ -370,8 +370,8 @@ struct RunState {
     /// the bus is enabled, so the default path stays untouched.
     native_wait_p99: obs::P2,
     /// Cumulative work totals at the previous telemetry tick, for the
-    /// per-tick delta signals: events, starts, candidates, segments.
-    telemetry_prev: [u64; 4],
+    /// per-tick delta signals.
+    telemetry_prev: CycleTotals,
     /// Online SLO evaluator fed at each telemetry tick.
     watchdog: SloWatchdog,
 }
@@ -430,7 +430,7 @@ impl Simulator {
                 )
             }),
             native_wait_p99: obs::P2::new(0.99),
-            telemetry_prev: [0; 4],
+            telemetry_prev: CycleTotals::default(),
             // Every --slo metric resolves against DRIVER_SIGNALS (pinned by
             // an obs test), so construction cannot fail here; a rule naming
             // an unsampled signal degrades to no watchdog rather than a
@@ -508,13 +508,7 @@ impl Simulator {
             if rec.is_some() {
                 // Flight-record the pass: the recorder diffs these cumulative
                 // totals against the previous pass itself.
-                let sc = self.scheduler.counters();
-                let totals = obs::recorder::CycleTotals {
-                    events: steps,
-                    starts: sc.inorder_starts + sc.backfill_starts,
-                    candidates: sc.backfill_candidates_scanned,
-                    segments: sc.profile_segments_walked,
-                };
+                let totals = self.cycle_totals(steps);
                 let ns = obs::recorder::PhaseNanos {
                     pump: self.obs.profiler.total_ns("event-pump"),
                     order: self.obs.profiler.total_ns("order-queue"),
@@ -570,6 +564,10 @@ impl Simulator {
             sc.backfill_candidates_scanned,
             sc.profile_segments_walked,
         );
+        // Only a run that scheduled leaves a cycle counter.
+        if sc.cycles > 0 {
+            self.obs.metrics.inc("sched.cycles", sc.cycles);
+        }
         self.obs
             .work
             .record_churn(st.faults.native_requeues, st.faults.interstitial_retries);
@@ -606,7 +604,7 @@ impl Simulator {
                 // In closed-loop mode the arrival may have been deferred;
                 // the wait clock starts at the actual submission instant.
                 job.submit = now;
-                self.obs.trace.record(
+                self.obs.record(
                     now,
                     EventKind::Submit {
                         job: job.id,
@@ -615,7 +613,6 @@ impl Simulator {
                         interstitial: false,
                     },
                 );
-                self.obs.metrics.inc("jobs.submitted.native", 1);
                 self.scheduler.submit(job);
             }
             Ev::Finish { id, gen } => {
@@ -632,7 +629,7 @@ impl Simulator {
                 self.scheduler.charge_finish(now, &job);
                 let record = CompletedJob::with_finish(job, js.first_start, now);
                 let interstitial = job.class.is_interstitial();
-                self.obs.trace.record(
+                self.obs.record(
                     now,
                     EventKind::Finish {
                         job: id,
@@ -641,16 +638,8 @@ impl Simulator {
                         interstitial,
                     },
                 );
-                if interstitial {
-                    self.obs.metrics.inc("jobs.finished.interstitial", 1);
-                } else {
-                    self.obs.metrics.inc("jobs.finished.native", 1);
-                    self.obs
-                        .metrics
-                        .observe("wait.native_s", record.wait().as_secs());
-                    if self.obs.telemetry.is_enabled() {
-                        st.native_wait_p99.observe(record.wait().as_secs() as f64);
-                    }
+                if !interstitial && self.obs.telemetry.is_enabled() {
+                    st.native_wait_p99.observe(record.wait().as_secs() as f64);
                 }
                 st.completed.push(record);
                 // Closed loop: this completion releases the user's next job.
@@ -669,24 +658,14 @@ impl Simulator {
             }
             Ev::Outage(up) => {
                 st.machine_up = up;
-                self.obs.trace.record(now, EventKind::Outage { up });
-                self.obs.metrics.inc("outages.boundaries", 1);
-                // Fault overlay for the telemetry dashboard (no-op when
-                // the bus is disabled).
-                let kind = if up {
-                    AnnotationKind::MachineUp
-                } else {
-                    AnnotationKind::MachineDown
-                };
-                self.obs.telemetry.annotate(now.as_secs(), kind, "", 0, 0);
+                self.obs.record(now, EventKind::Outage { up });
             }
             Ev::NodeDown(node) => self.fail_node(now, node, st, q),
             Ev::NodeUp(node) => {
                 let cpus = self.faults.nodes()[node as usize].cpus;
                 st.faults.node_repairs += 1;
                 st.pool.bring_online(cpus);
-                self.obs.trace.record(now, EventKind::NodeUp { node, cpus });
-                self.obs.metrics.inc("faults.node_up", 1);
+                self.obs.record(now, EventKind::NodeUp { node, cpus });
             }
             Ev::Retry(id) => {
                 let js = st.job_mut(id);
@@ -707,10 +686,7 @@ impl Simulator {
     fn fail_node(&mut self, now: SimTime, node: u32, st: &mut RunState, q: &mut EventQueue<Ev>) {
         let cpus = self.faults.nodes()[node as usize].cpus;
         st.faults.node_failures += 1;
-        self.obs
-            .trace
-            .record(now, EventKind::NodeDown { node, cpus });
-        self.obs.metrics.inc("faults.node_down", 1);
+        self.obs.record(now, EventKind::NodeDown { node, cpus });
         let deficit = cpus.saturating_sub(st.pool.free());
         if deficit > 0 {
             let mut victims: Vec<(bool, SimTime, u64, u32)> = st
@@ -764,7 +740,7 @@ impl Simulator {
             runtime_s: job.runtime.as_secs(),
             interstitial,
         });
-        self.obs.trace.record(
+        self.obs.record(
             now,
             EventKind::JobFailed {
                 job: id,
@@ -773,7 +749,6 @@ impl Simulator {
                 interstitial,
             },
         );
-        self.obs.metrics.inc("faults.job_killed", 1);
         let requeued = if interstitial {
             // Kill-restart credits nothing, so remaining == job.runtime and
             // every figure collapses to the legacy arithmetic.
@@ -804,7 +779,7 @@ impl Simulator {
             self.scheduler.requeue_front(job);
             "faults.native_requeued"
         };
-        self.obs.trace.record(
+        self.obs.record(
             now,
             EventKind::JobRequeued {
                 job: id,
@@ -845,7 +820,7 @@ impl Simulator {
         match self.recovery {
             RecoveryPolicy::KillRestart => {}
             RecoveryPolicy::Checkpoint { .. } => {
-                self.obs.trace.record(
+                self.obs.record(
                     now,
                     EventKind::JobCheckpointed {
                         job: rj.id,
@@ -854,17 +829,15 @@ impl Simulator {
                         lost_s: (done + elapsed).saturating_sub(credited).as_secs(),
                     },
                 );
-                self.obs.metrics.inc("recovery.checkpoint_evictions", 1);
             }
             RecoveryPolicy::SuspendResume => {
-                self.obs.trace.record(
+                self.obs.record(
                     now,
                     EventKind::JobSuspended {
                         job: rj.id,
                         remaining_s: remaining.as_secs(),
                     },
                 );
-                self.obs.metrics.inc("recovery.suspensions", 1);
             }
         }
         (cpus * lost.as_secs_f64(), remaining)
@@ -966,13 +939,8 @@ impl Simulator {
                 Some(x) if x > 0.0 => x as u64,
                 _ => 0,
             };
-            let sc = self.scheduler.counters();
-            let totals = [
-                steps,
-                sc.inorder_starts + sc.backfill_starts,
-                sc.backfill_candidates_scanned,
-                sc.profile_segments_walked,
-            ];
+            let totals = self.cycle_totals(steps);
+            let prev = std::mem::replace(&mut st.telemetry_prev, totals);
             let tick = SimTime::from_secs(t);
             let values = [
                 u64::from(native),
@@ -985,40 +953,43 @@ impl Simulator {
                 frag_permille(&st.running, tick, free),
                 st.running.len() as u64,
                 p99,
-                totals[0] - st.telemetry_prev[0],
-                totals[1] - st.telemetry_prev[1],
-                totals[2] - st.telemetry_prev[2],
-                totals[3] - st.telemetry_prev[3],
+                totals.events - prev.events,
+                totals.starts - prev.starts,
+                totals.candidates - prev.candidates,
+                totals.segments - prev.segments,
             ];
-            st.telemetry_prev = totals;
             self.obs.telemetry.record_tick(t, &values);
             for tr in st.watchdog.evaluate(&values) {
-                let (kind, ann) = if tr.breached {
-                    (
-                        EventKind::SloBreach {
-                            rule: tr.rule,
-                            metric: tr.metric,
-                            value: tr.value,
-                            limit: tr.limit,
-                        },
-                        AnnotationKind::Breach,
-                    )
+                let (rule, metric, value, limit) = (tr.rule, tr.metric, tr.value, tr.limit);
+                let kind = if tr.breached {
+                    EventKind::SloBreach {
+                        rule,
+                        metric,
+                        value,
+                        limit,
+                    }
                 } else {
-                    (
-                        EventKind::SloClear {
-                            rule: tr.rule,
-                            metric: tr.metric,
-                            value: tr.value,
-                            limit: tr.limit,
-                        },
-                        AnnotationKind::Clear,
-                    )
+                    EventKind::SloClear {
+                        rule,
+                        metric,
+                        value,
+                        limit,
+                    }
                 };
-                self.obs.trace.record(tick, kind);
-                self.obs
-                    .telemetry
-                    .annotate(t, ann, tr.metric, tr.value, tr.limit);
+                self.obs.record(tick, kind);
             }
+        }
+    }
+
+    /// Cumulative work totals after `steps` events: the sums the flight
+    /// recorder and the telemetry delta signals both diff.
+    fn cycle_totals(&self, steps: u64) -> CycleTotals {
+        let sc = self.scheduler.counters();
+        CycleTotals {
+            events: steps,
+            starts: sc.inorder_starts + sc.backfill_starts,
+            candidates: sc.backfill_candidates_scanned,
+            segments: sc.profile_segments_walked,
         }
     }
 
@@ -1100,7 +1071,7 @@ impl Simulator {
                     st.wasted_cpu_seconds += rj.cpus as f64 * worked;
                     // Kill restores the job budget: the work must be redone.
                     st.ij_started[stream] -= 1;
-                    self.obs.trace.record(
+                    self.obs.record(
                         now,
                         EventKind::Preempt {
                             job: id,
@@ -1108,10 +1079,9 @@ impl Simulator {
                             kind: obs::PreemptKind::Kill,
                         },
                     );
-                    self.obs.metrics.inc("preempt.killed", 1);
                 }
                 flavor @ (Preemption::Kill | Preemption::Checkpoint) => {
-                    self.obs.trace.record(
+                    self.obs.record(
                         now,
                         EventKind::Preempt {
                             job: id,
@@ -1132,7 +1102,6 @@ impl Simulator {
                     };
                     st.job_mut(id).phase = Phase::Suspended { remaining };
                     st.suspended.push_back(id);
-                    self.obs.metrics.inc("preempt.checkpointed", 1);
                 }
                 Preemption::None => unreachable!("victims are preemptible"),
             }
@@ -1185,22 +1154,13 @@ impl Simulator {
             js.first_start = now;
         }
         let gen = js.gen;
-        observer.trace.record(
+        observer.record(
             now,
             EventKind::Start {
                 job: job.id,
                 cpus: job.cpus,
                 kind,
             },
-        );
-        observer.metrics.inc(
-            match kind {
-                StartKind::InOrder => "jobs.started.inorder",
-                StartKind::Backfill => "jobs.started.backfill",
-                StartKind::Interstitial => "jobs.started.interstitial",
-                StartKind::Resume => "jobs.started.resumed",
-            },
-            1,
         );
         q.schedule(actual_end, Ev::Finish { id: job.id, gen });
     }
@@ -1219,7 +1179,7 @@ impl Simulator {
         Self::start_job(now, job, remaining, st, q, StartKind::Resume, &mut self.obs);
         if self.recovery != RecoveryPolicy::KillRestart {
             st.faults.interstitial_resumes += 1;
-            self.obs.trace.record(
+            self.obs.record(
                 now,
                 EventKind::JobResumed {
                     job: id,
@@ -1370,7 +1330,7 @@ impl Simulator {
                 runtime: dur,
                 estimate: dur, // zero-variance runtimes, exactly known (§4)
             };
-            self.obs.trace.record(
+            self.obs.record(
                 now,
                 EventKind::Submit {
                     job: id,
@@ -1379,7 +1339,6 @@ impl Simulator {
                     interstitial: true,
                 },
             );
-            self.obs.metrics.inc("jobs.submitted.interstitial", 1);
             Self::start_job(now, job, dur, st, q, StartKind::Interstitial, &mut self.obs);
             cursor = (cursor + 1) % live.len();
         }
@@ -2396,7 +2355,7 @@ mod tests {
 
     #[test]
     fn slo_watchdog_stamps_v4_breach_and_clear_events() {
-        use obs::telemetry::{TelemetryBus, DRIVER_SIGNALS};
+        use obs::telemetry::{AnnotationKind, TelemetryBus, DRIVER_SIGNALS};
         // 64-CPU machine: job 2 queues behind job 1 from t=10 to t=1000,
         // so a 60 s cadence catches queue_depth > 0, breaching
         // `queue_depth<=0`; once job 2 starts the queue drains and the

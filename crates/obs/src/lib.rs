@@ -2,7 +2,7 @@
 //!
 //! The paper's claims are all *measurements* (utilization interstices,
 //! wait-time deltas, makespan distributions), so the simulation stack needs
-//! a measurement substrate of its own. This crate provides three
+//! a measurement substrate of its own. This crate provides six
 //! independent, individually switchable instruments, bundled in [`Obs`]:
 //!
 //! * [`trace::TraceSink`] — a structured event log: every job submit /
@@ -19,9 +19,20 @@
 //!   place outside the bench harness allowed to read the wall clock
 //!   (audited simlint R2 exception): span durations are reported, never fed
 //!   back into simulation behaviour.
+//! * [`work::WorkCounters`] — deterministic integer tallies of the work a
+//!   run did (events, cycles, candidates scanned, …), folded in at end of
+//!   run.
+//! * [`recorder::CycleRecorder`] — a bounded per-cycle flight recorder.
+//! * [`telemetry::TelemetryBus`] — fixed-cadence in-sim time series with
+//!   time-axis annotations.
 //!
-//! [`report::RunReport`] snapshots all three into one machine-readable JSON
-//! document per run. The golden suite compares only the deterministic
+//! The bundle also carries the run's allocator tallies
+//! ([`alloc::AllocCounters`]). [`Obs::record`] is the one entry point for
+//! simulation events: it feeds the trace, the metrics counters and the
+//! telemetry annotations from the same [`EventKind`].
+//!
+//! [`report::RunReport`] snapshots the metrics, profile, work counters and
+//! allocator tallies into one machine-readable JSON document per run. The golden suite compares only the deterministic
 //! sections (trace + metrics); wall-clock phase timings are excluded from
 //! golden comparisons by construction ([`report::RunReport::to_json_deterministic`]).
 
@@ -51,6 +62,9 @@ pub use report::RunReport;
 pub use telemetry::{SloSpec, SloWatchdog, TelemetryBus, TelemetryDump};
 pub use trace::TraceSink;
 pub use work::WorkCounters;
+
+use simkit::time::SimTime;
+use telemetry::AnnotationKind;
 
 /// The full observability bundle threaded through a simulation run.
 ///
@@ -145,6 +159,80 @@ impl Obs {
             || self.work.is_enabled()
             || self.recorder.is_enabled()
             || self.telemetry.is_enabled()
+    }
+
+    /// Record one event in every instrument that derives from events: the
+    /// trace sink appends it, the metrics registry counts it, and the
+    /// telemetry bus marks outages and SLO transitions on its time axis.
+    /// Each instrument checks its own switch, so a disabled bundle pays one
+    /// branch per instrument.
+    #[inline]
+    pub fn record(&mut self, t: SimTime, kind: EventKind) {
+        self.trace.record(t, kind);
+        if self.metrics.is_enabled() {
+            self.count(kind);
+        }
+        if self.telemetry.is_enabled() {
+            let (ann, label, value, limit) = match kind {
+                EventKind::Outage { up: true } => (AnnotationKind::MachineUp, "", 0, 0),
+                EventKind::Outage { up: false } => (AnnotationKind::MachineDown, "", 0, 0),
+                EventKind::SloBreach {
+                    metric,
+                    value,
+                    limit,
+                    ..
+                } => (AnnotationKind::Breach, metric, value, limit),
+                EventKind::SloClear {
+                    metric,
+                    value,
+                    limit,
+                    ..
+                } => (AnnotationKind::Clear, metric, value, limit),
+                _ => return,
+            };
+            self.telemetry
+                .annotate(t.as_secs(), ann, label, value, limit);
+        }
+    }
+
+    /// The metrics fold of [`Obs::record`]: the counter each event kind
+    /// drives, plus the native wait histogram at native finishes.
+    fn count(&mut self, kind: EventKind) {
+        let name = match kind {
+            EventKind::Submit {
+                interstitial: true, ..
+            } => "jobs.submitted.interstitial",
+            EventKind::Submit { .. } => "jobs.submitted.native",
+            EventKind::Start { kind, .. } => match kind {
+                StartKind::InOrder => "jobs.started.inorder",
+                StartKind::Backfill => "jobs.started.backfill",
+                StartKind::Interstitial => "jobs.started.interstitial",
+                StartKind::Resume => "jobs.started.resumed",
+            },
+            EventKind::Finish {
+                interstitial: true, ..
+            } => "jobs.finished.interstitial",
+            EventKind::Finish { wait_s, .. } => {
+                self.metrics.observe("wait.native_s", wait_s);
+                "jobs.finished.native"
+            }
+            EventKind::Preempt {
+                kind: PreemptKind::Kill,
+                ..
+            } => "preempt.killed",
+            EventKind::Preempt { .. } => "preempt.checkpointed",
+            EventKind::Outage { .. } => "outages.boundaries",
+            EventKind::NodeDown { .. } => "faults.node_down",
+            EventKind::NodeUp { .. } => "faults.node_up",
+            EventKind::JobFailed { .. } => "faults.job_killed",
+            EventKind::JobCheckpointed { .. } => "recovery.checkpoint_evictions",
+            EventKind::JobSuspended { .. } => "recovery.suspensions",
+            EventKind::JobRequeued { .. }
+            | EventKind::JobResumed { .. }
+            | EventKind::SloBreach { .. }
+            | EventKind::SloClear { .. } => return,
+        };
+        self.metrics.inc(name, 1);
     }
 
     /// Snapshot the metrics registry, phase profile, work counters and

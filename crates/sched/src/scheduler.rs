@@ -255,8 +255,8 @@ impl Scheduler {
 
     /// [`cycle`](Scheduler::cycle) with instrumentation: phase spans for
     /// queue ordering (`order-queue`: the priority sort plus eligibility
-    /// scan), free-profile construction and backfill planning, plus
-    /// cycle/start counters, land in `observer`. Returns the full [`DispatchPlan`] so
+    /// scan), free-profile construction and backfill planning, plus the
+    /// queue-depth high-water gauge, land in `observer`. Returns the full [`DispatchPlan`] so
     /// the caller can tell in-order dispatches from backfills — the first
     /// `starts.len() - backfilled` entries of `starts` are in-order (the
     /// planner only marks jobs as backfills once the head is blocked, and
@@ -305,7 +305,6 @@ impl Scheduler {
         self.counters.backfill_starts += u64::from(plan.backfilled);
         self.counters.inorder_starts += plan.starts.len() as u64 - u64::from(plan.backfilled);
         self.counters.backfill_candidates_scanned += u64::from(plan.candidates_scanned);
-        observer.metrics.inc("sched.cycles", 1);
         observer
             .metrics
             .gauge_max("sched.queue_depth_max", self.queue.len() as i64);
