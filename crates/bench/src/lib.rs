@@ -1,9 +1,9 @@
 //! # bench — experiment harness
 //!
 //! One regenerator per table and figure of the paper, plus the ablation
-//! studies DESIGN.md calls out. Each `bin/` target is a thin wrapper over a
-//! function in [`experiments`]; `bin/all_experiments` runs the whole suite
-//! and rewrites `EXPERIMENTS.md`.
+//! studies DESIGN.md calls out, each a function in [`experiments`].
+//! `bin/all_experiments` runs the whole suite and rewrites `EXPERIMENTS.md`,
+//! or prints the one experiment named on its command line.
 //!
 //! [`Lab`] caches the expensive shared inputs (native baselines, continual
 //! runs) so the full suite reuses rather than recomputes them, and pins
