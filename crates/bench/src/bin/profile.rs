@@ -4,11 +4,10 @@
 //! metrics and phase profiler attached, then prints where the simulator's
 //! wall-clock goes (schedule-cycle / backfill / free-profile / event-pump)
 //! alongside the run's headline counters, plus the raw `RunReport` JSON for
-//! machine consumption. Finishes with a tracing-overhead check: the same
-//! truncated replay with observability off, fully on, and on with the
-//! telemetry bus sampling at the default cadence, so regressions in the
-//! "zero-cost when disabled" claim — and any telemetry-induced schedule
-//! or counter perturbation — show up here first.
+//! machine consumption. That observers perturb neither the schedule nor
+//! the work counters is asserted by `tests/observer_purity.rs`; what each
+//! instrument costs is measured by the repository benchmark's per-layer
+//! ladder (`benchmark/`).
 //!
 //! Wall-clock reads are fine in this crate (simlint R2 exempts `bench`).
 
@@ -19,18 +18,6 @@ use machine::config::{blue_mountain, blue_pacific, ross};
 use obs::Obs;
 use std::time::{Duration, Instant};
 use workload::traces::native_trace;
-
-/// Default native-log prefix for the overhead A/B check (full logs would
-/// make the comparison needlessly slow without changing the verdict).
-/// Override with `PROFILE_OVERHEAD_JOBS` (0 = full log).
-const DEFAULT_OVERHEAD_JOBS: usize = 2_000;
-
-fn overhead_jobs() -> usize {
-    std::env::var("PROFILE_OVERHEAD_JOBS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_OVERHEAD_JOBS)
-}
 
 fn observed_replay(cfg: &machine::MachineConfig) -> (SimOutput, Duration) {
     let natives = native_trace(cfg, TRACE_SEED);
@@ -94,81 +81,10 @@ fn print_breakdown(cfg: &machine::MachineConfig, out: &SimOutput, wall: Duration
     println!();
 }
 
-fn overhead_check(cfg: &machine::MachineConfig, jobs: usize) {
-    let mut natives = native_trace(cfg, TRACE_SEED);
-    if jobs > 0 {
-        natives.truncate(jobs);
-    }
-    let time = |observer: Obs| {
-        let jobs = natives.clone();
-        let t = Instant::now();
-        let out = SimBuilder::new(cfg.clone())
-            .natives(jobs)
-            .observer(observer)
-            .build()
-            .run();
-        let elapsed = t.elapsed();
-        (elapsed, out)
-    };
-    let with_telemetry = || {
-        let mut o = Obs::enabled();
-        o.telemetry = obs::TelemetryBus::enabled(
-            obs::telemetry::DEFAULT_CADENCE_S,
-            obs::telemetry::DRIVER_SIGNALS,
-        );
-        o
-    };
-    // Warm-up, then one timed run per configuration.
-    let _ = time(Obs::disabled());
-    let (off, out_off) = time(Obs::disabled());
-    let (on, out_on) = time(Obs::enabled());
-    let (tele, out_tele) = time(with_telemetry());
-    assert_eq!(
-        out_off.native_completed(),
-        out_on.native_completed(),
-        "observability must not change the schedule"
-    );
-    // The telemetry bus only reads: the sampled replay must agree with the
-    // plain observed one down to the work counters.
-    assert_eq!(
-        out_on.native_completed(),
-        out_tele.native_completed(),
-        "telemetry sampling must not change the schedule"
-    );
-    assert_eq!(
-        out_on.obs.work, out_tele.obs.work,
-        "telemetry sampling must not perturb the work counters"
-    );
-    assert!(
-        !out_tele.obs.telemetry.is_empty(),
-        "the telemetry bus recorded no ticks"
-    );
-    let ratio = on.as_secs_f64() / off.as_secs_f64().max(1e-9);
-    let tele_ratio = tele.as_secs_f64() / off.as_secs_f64().max(1e-9);
-    println!(
-        "overhead[{}]: disabled {:.1} ms, enabled {:.1} ms (x{ratio:.3}), \
-         +telemetry {:.1} ms (x{tele_ratio:.3}, {} ticks)",
-        cfg.name,
-        off.as_secs_f64() * 1e3,
-        on.as_secs_f64() * 1e3,
-        tele.as_secs_f64() * 1e3,
-        out_tele.obs.telemetry.len(),
-    );
-}
-
 fn main() {
     println!("# per-run phase profile (seed {TRACE_SEED})");
     for cfg in [ross(), blue_mountain(), blue_pacific()] {
         let (out, wall) = observed_replay(&cfg);
         print_breakdown(&cfg, &out, wall);
-    }
-    let jobs = overhead_jobs();
-    if jobs > 0 {
-        println!("# tracing overhead A/B ({jobs}-job prefix)");
-    } else {
-        println!("# tracing overhead A/B (full logs)");
-    }
-    for cfg in [ross(), blue_mountain(), blue_pacific()] {
-        overhead_check(&cfg, jobs);
     }
 }
