@@ -1,9 +1,10 @@
 //! Benchmarks of the scheduling layer: one dispatch-plan cycle under each
-//! backfill policy, and trace generation throughput.
+//! backfill policy (the indexed free profile plus `plan_on`, as the
+//! scheduler runs it), and trace generation throughput.
 
 use bench::harness::Harness;
 use machine::{RunningJob, RunningSet};
-use sched::backfill::{plan, BackfillPolicy};
+use sched::backfill::{plan_on, BackfillPolicy, LOOKAHEAD};
 use sched::DispatchWindow;
 use simkit::rng::Rng;
 use simkit::time::{SimDuration, SimTime};
@@ -58,12 +59,12 @@ fn bench_dispatch_plan(h: &mut Harness) {
             ("restrictive", BackfillPolicy::Restrictive { depth: 8 }),
         ] {
             h.bench(&format!("dispatch_plan/{}/{qlen}", policy.0), || {
-                black_box(plan(
+                let mut view = rs.indexed_profile(now, free, now + LOOKAHEAD);
+                black_box(plan_on(
                     policy.1,
                     &queue,
                     now,
-                    free,
-                    &rs,
+                    &mut view,
                     DispatchWindow::Always,
                 ))
             });

@@ -1,39 +1,33 @@
-//! `perf` — record `BENCH_<machine>.json` perf baselines.
+//! `perf` — record `BENCH_<machine>.json` counter baselines.
 //!
-//! For each calibrated machine preset, replays the native log (with the
-//! canonical interstitial workload) fault-free and faulted, measured by the
-//! criterion-lite harness in [`bench::perf`], and writes one baseline file
-//! per machine: deterministic work counters (compared exactly by
-//! `interstitial perf compare`), median/MAD wall time and derived
-//! throughput (compared within a tolerance).
+//! For each calibrated machine preset, replays the first [`JOBS_PREFIX`]
+//! jobs of the native log (with the canonical interstitial workload)
+//! fault-free and faulted, twice each via [`bench::perf::record`], and
+//! writes one baseline file per machine: deterministic work counters,
+//! compared exactly by `interstitial perf compare`. Wall time is measured
+//! by the repository benchmark (`benchmark/`), not here.
 //!
-//! Environment knobs:
-//!
-//! * `PERF_JOBS` — native-log prefix per replay (default 2000; 0 = full log)
-//! * `PERF_REPS` — timed repetitions (default 3)
-//! * `PERF_WARMUP` — untimed warmup repetitions (default 1)
-//! * `PERF_OUT_DIR` — where `BENCH_*.json` land (default current directory)
-//!
-//! Counters depend on `PERF_JOBS` but not on the host, so CI can regenerate
-//! with the defaults and diff exactly against the committed baselines.
+//! `PERF_OUT_DIR` sets where `BENCH_*.json` land (default: the current
+//! directory). The counters do not depend on the host, so CI regenerates
+//! them and diffs exactly against the committed baselines.
 //!
 //! Build with `--features alloc-count` to also record the per-scenario
 //! `"mem"` allocation counters (deterministic per toolchain, gated exactly
 //! by `perf compare`); without the feature the sections are omitted.
 
 use bench::lab::TRACE_SEED;
-use bench::perf::{measure, Measurement, PerfConfig};
+use bench::perf::record;
 use interstitial::prelude::*;
 use machine::config::{blue_mountain, blue_pacific, ross};
 use machine::{FaultModel, FaultSpec};
-use obs::perf::{PerfBaseline, PERF_SCHEMA};
+use obs::perf::{PerfBaseline, ScenarioPerf, PERF_SCHEMA};
 use obs::Obs;
 use simkit::time::{SimDuration, SimTime};
 use workload::traces::native_trace;
 
-/// Default native-log prefix: long enough to exercise backfill, retries and
-/// profile scans, short enough for a CI smoke job.
-const DEFAULT_JOBS: usize = 2_000;
+/// Native-log prefix per replay: long enough to exercise backfill, retries
+/// and profile scans, short enough for a CI smoke job.
+const JOBS_PREFIX: usize = 2_000;
 
 /// The faulted scenario's injection parameters — the same node MTBF/MTTR
 /// shape the CI fault-replay job uses, so the two suites stress one model.
@@ -46,34 +40,13 @@ fn fault_spec() -> FaultSpec {
     }
 }
 
-fn env_u64(key: &str, default: u64) -> u64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
 /// One observed replay: truncated native log plus the canonical continual
 /// interstitial project (an eighth of the machine per job, 1 h at 1 GHz —
 /// the golden suite's shape), optionally faulted. Only work counters are
-/// collected, so the timed loop carries no tracing or metrics cost.
-fn replay(cfg: &machine::MachineConfig, jobs_prefix: usize, faulted: bool) -> SimOutput {
+/// collected.
+fn replay(cfg: &machine::MachineConfig, faulted: bool) -> SimOutput {
     let mut natives = native_trace(cfg, TRACE_SEED);
-    if jobs_prefix > 0 {
-        natives.truncate(jobs_prefix);
-    }
+    natives.truncate(JOBS_PREFIX);
     let horizon = SimTime::from_secs(
         natives
             .iter()
@@ -98,46 +71,35 @@ fn replay(cfg: &machine::MachineConfig, jobs_prefix: usize, faulted: bool) -> Si
     b.build().run()
 }
 
-fn print_measurement(machine: &str, scenario: &str, m: &Measurement) {
-    let mem = if m.mem.is_enabled() {
-        format!(
+fn print_scenario(machine: &str, scenario: &str, s: &ScenarioPerf) {
+    let mem = match &s.mem {
+        Some(mem) => format!(
             ", {} allocs / {} KiB (peak {} KiB live)",
-            m.mem.allocations,
-            m.mem.bytes_allocated / 1024,
-            m.mem.peak_live_bytes / 1024,
-        )
-    } else {
-        String::new()
+            mem.allocations,
+            mem.bytes_allocated / 1024,
+            mem.peak_live_bytes / 1024,
+        ),
+        None => String::new(),
     };
     println!(
-        "{machine:<14} {scenario:<11} wall {:>8.1} ms (MAD {:.1}) | {:>8.1} jobs/s {:>10.0} events/s | \
-         {} events, peak heap {}, {} cycles, {} candidates, {} segments{mem}",
-        m.wall_us_median as f64 / 1e3,
-        m.wall_us_mad as f64 / 1e3,
-        m.jobs_per_sec_milli() as f64 / 1e3,
-        m.events_per_sec_milli() as f64 / 1e3,
-        m.events,
-        m.work.heap_peak_depth,
-        m.work.sched_cycles,
-        m.work.backfill_candidates_scanned,
-        m.work.profile_segments_walked,
+        "{machine:<14} {scenario:<11} {} jobs, {} events, peak heap {}, {} cycles, \
+         {} candidates, {} segments{mem}",
+        s.jobs,
+        s.work.events_popped,
+        s.work.heap_peak_depth,
+        s.work.sched_cycles,
+        s.work.backfill_candidates_scanned,
+        s.work.profile_segments_walked,
     );
 }
 
 fn main() {
-    let cfg = PerfConfig::from_env();
-    let jobs_prefix = env_u64("PERF_JOBS", DEFAULT_JOBS as u64);
     let out_dir = std::env::var("PERF_OUT_DIR").unwrap_or_else(|_| ".".to_string());
-    let rev = git_rev();
-    println!(
-        "# perf baselines (seed {TRACE_SEED}, {jobs_prefix}-job prefix, \
-         {} reps after {} warmup, rev {rev})",
-        cfg.reps, cfg.warmup
-    );
+    println!("# perf baselines (seed {TRACE_SEED}, {JOBS_PREFIX}-job prefix)");
     std::fs::create_dir_all(&out_dir).expect("create PERF_OUT_DIR");
-    // Measure everything first, write nothing until every scenario has
-    // succeeded: a panic mid-rep must not leave a half-updated baseline set
-    // on disk for `perf compare` to silently bless.
+    // Replay everything first, write nothing until every scenario has
+    // succeeded: a panic mid-replay must not leave a half-updated baseline
+    // set on disk for `perf compare` to silently bless.
     let mut baselines = Vec::new();
     let mut failures = Vec::new();
     for (key, machine) in [
@@ -148,22 +110,17 @@ fn main() {
         let mut baseline = PerfBaseline {
             schema: PERF_SCHEMA,
             machine: key.to_string(),
-            git_rev: rev.clone(),
-            reps: u64::from(cfg.reps),
-            warmup: u64::from(cfg.warmup),
-            jobs_prefix,
+            jobs_prefix: JOBS_PREFIX as u64,
             scenarios: Default::default(),
         };
         for (scenario, faulted) in [("fault_free", false), ("faulted", true)] {
-            let measured = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                measure(cfg, || replay(&machine, jobs_prefix as usize, faulted))
+            let recorded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                record(|| replay(&machine, faulted))
             }));
-            match measured {
-                Ok(m) => {
-                    print_measurement(key, scenario, &m);
-                    baseline
-                        .scenarios
-                        .insert(scenario.to_string(), m.to_scenario());
+            match recorded {
+                Ok(s) => {
+                    print_scenario(key, scenario, &s);
+                    baseline.scenarios.insert(scenario.to_string(), s);
                 }
                 Err(panic) => {
                     let msg = panic
@@ -171,7 +128,7 @@ fn main() {
                         .cloned()
                         .or_else(|| panic.downcast_ref::<&str>().map(|s| (*s).to_string()))
                         .unwrap_or_else(|| "non-string panic payload".to_string());
-                    eprintln!("error: {key}/{scenario} panicked mid-measurement: {msg}");
+                    eprintln!("error: {key}/{scenario} panicked mid-replay: {msg}");
                     failures.push(format!("{key}/{scenario}"));
                 }
             }

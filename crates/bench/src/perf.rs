@@ -1,174 +1,40 @@
-//! Criterion-lite wall-clock measurement.
+//! Deterministic replay check for the `BENCH_*.json` counter baselines.
 //!
-//! [`measure`] runs a closure a configurable number of warmup + timed
-//! repetitions and reduces the wall times to median and MAD (median
-//! absolute deviation) — the robust pair: one slow outlier rep moves
-//! neither, unlike mean/stddev. Determinism is *checked*, not assumed:
-//! every repetition's work counters and completion counts must be
-//! bitwise-identical or the harness panics, because a baseline recorded
-//! from nondeterministic runs would poison every future comparison.
-//!
-//! Throughput is derived, not measured: jobs/sec and events/sec from the
-//! median wall time, reported as milli-units (integers, per the artifact
-//! discipline — no floats in machine-readable output).
-//!
-//! Wall-clock reads are fine here: simlint R2 exempts `bench`.
+//! [`record`] runs a replay twice and keeps its counts only if both runs
+//! agree bit for bit on work counters, allocation counters and completions:
+//! a baseline recorded from a nondeterministic replay would poison every
+//! future comparison. Wall time is not measured here; the repository
+//! benchmark (`benchmark/`) reports it with its noise.
 
 use interstitial::SimOutput;
-use obs::alloc::AllocCounters;
 use obs::perf::ScenarioPerf;
-use obs::work::WorkCounters;
-use std::time::Instant;
 
-/// Repetition counts, env-overridable so CI and local runs can dial cost.
-#[derive(Clone, Copy, Debug)]
-pub struct PerfConfig {
-    /// Untimed warmup repetitions before measuring.
-    pub warmup: u32,
-    /// Timed repetitions (at least 1).
-    pub reps: u32,
-}
-
-impl Default for PerfConfig {
-    fn default() -> Self {
-        PerfConfig { warmup: 1, reps: 3 }
-    }
-}
-
-impl PerfConfig {
-    /// Read `PERF_WARMUP` / `PERF_REPS` from the environment, with the
-    /// defaults of [`PerfConfig::default`].
-    pub fn from_env() -> Self {
-        let get = |key: &str, default: u32| {
-            std::env::var(key)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(default)
-        };
-        PerfConfig {
-            warmup: get("PERF_WARMUP", 1),
-            reps: get("PERF_REPS", 3).max(1),
-        }
-    }
-}
-
-/// One scenario's reduced measurement.
-#[derive(Clone, Debug)]
-pub struct Measurement {
-    /// Wall time of each timed repetition, microseconds, sorted ascending.
-    pub wall_us: Vec<u64>,
-    /// Median of `wall_us`.
-    pub wall_us_median: u64,
-    /// Median absolute deviation of `wall_us`.
-    pub wall_us_mad: u64,
-    /// Jobs completed per repetition (native + interstitial).
-    pub jobs: u64,
-    /// Events processed per repetition.
-    pub events: u64,
-    /// Work counters, verified identical across repetitions.
-    pub work: WorkCounters,
-    /// Allocation counters from the run's driver window, verified identical
-    /// across repetitions. Disabled zeros unless built with `alloc-count`.
-    pub mem: AllocCounters,
-}
-
-impl Measurement {
-    /// Jobs per second × 1000 at the median wall time.
-    pub fn jobs_per_sec_milli(&self) -> u64 {
-        per_sec_milli(self.jobs, self.wall_us_median)
-    }
-
-    /// Events per second × 1000 at the median wall time.
-    pub fn events_per_sec_milli(&self) -> u64 {
-        per_sec_milli(self.events, self.wall_us_median)
-    }
-
-    /// Shape this measurement for a `BENCH_<machine>.json` baseline.
-    pub fn to_scenario(&self) -> ScenarioPerf {
-        ScenarioPerf {
-            wall_us_median: self.wall_us_median,
-            wall_us_mad: self.wall_us_mad,
-            jobs: self.jobs,
-            events: self.events,
-            jobs_per_sec_milli: self.jobs_per_sec_milli(),
-            events_per_sec_milli: self.events_per_sec_milli(),
-            work: self.work,
-            mem: if self.mem.is_enabled() {
-                Some(self.mem)
-            } else {
-                None
-            },
-        }
-    }
-}
-
-/// `count / (us / 1e6) * 1000`, in integer arithmetic, 0 for a zero wall.
-pub fn per_sec_milli(count: u64, wall_us: u64) -> u64 {
-    if wall_us == 0 {
-        return 0;
-    }
-    u64::try_from((count as u128) * 1_000_000_000 / wall_us as u128).unwrap_or(u64::MAX)
-}
-
-/// Median of a sorted slice (midpoint average for even lengths), 0 if empty.
-pub fn median(sorted: &[u64]) -> u64 {
-    match sorted.len() {
-        0 => 0,
-        n if n % 2 == 1 => sorted[n / 2],
-        n => (sorted[n / 2 - 1] + sorted[n / 2]) / 2,
-    }
-}
-
-/// Median absolute deviation around `mid`.
-pub fn mad(sorted: &[u64], mid: u64) -> u64 {
-    let mut devs: Vec<u64> = sorted.iter().map(|&x| x.abs_diff(mid)).collect();
-    devs.sort_unstable();
-    median(&devs)
-}
-
-/// Run `run` for `cfg.warmup` untimed and `cfg.reps` timed repetitions and
-/// reduce. Panics if repetitions disagree on counters or completions —
-/// a nondeterministic replay must never become a baseline.
-pub fn measure<F: FnMut() -> SimOutput>(cfg: PerfConfig, mut run: F) -> Measurement {
-    for _ in 0..cfg.warmup {
-        let _ = run();
-    }
-    let mut wall_us = Vec::with_capacity(cfg.reps as usize);
-    let mut reference: Option<(WorkCounters, AllocCounters, u64)> = None;
-    for rep in 0..cfg.reps.max(1) {
-        let t = Instant::now();
-        let out = run();
-        let elapsed = t.elapsed();
-        wall_us.push(u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX));
-        let jobs = out.native_completed() + out.interstitial_completed();
-        match &reference {
-            None => reference = Some((out.obs.work, out.obs.mem, jobs)),
-            Some((work, mem, ref_jobs)) => {
-                assert_eq!(
-                    *work, out.obs.work,
-                    "rep {rep}: work counters differ between repetitions — \
-                     the replay is not deterministic"
-                );
-                assert_eq!(
-                    *mem, out.obs.mem,
-                    "rep {rep}: allocation counters differ between repetitions — \
-                     a heap-count baseline would not be reproducible"
-                );
-                assert_eq!(*ref_jobs, jobs, "rep {rep}: completion counts differ");
-            }
-        }
-    }
-    let (work, mem, jobs) = reference.expect("at least one timed repetition");
-    wall_us.sort_unstable();
-    let wall_us_median = median(&wall_us);
-    Measurement {
-        wall_us_mad: mad(&wall_us, wall_us_median),
-        wall_us_median,
-        jobs,
-        events: work.events_popped,
-        work,
-        mem,
-        wall_us,
+/// Run `run` twice and shape its counts for a `BENCH_<machine>.json`
+/// baseline. Panics if the two runs disagree on work counters, allocation
+/// counters or completions — a nondeterministic replay must never become a
+/// baseline.
+pub fn record<F: FnMut() -> SimOutput>(mut run: F) -> ScenarioPerf {
+    let jobs = |out: &SimOutput| out.native_completed() + out.interstitial_completed();
+    let first = run();
+    let second = run();
+    assert_eq!(
+        first.obs.work, second.obs.work,
+        "work counters differ between the two runs — the replay is not deterministic"
+    );
+    assert_eq!(
+        first.obs.mem, second.obs.mem,
+        "allocation counters differ between the two runs — \
+         a heap-count baseline would not be reproducible"
+    );
+    assert_eq!(
+        jobs(&first),
+        jobs(&second),
+        "completion counts differ between the two runs"
+    );
+    ScenarioPerf {
+        jobs: jobs(&first),
+        work: first.obs.work,
+        mem: first.obs.mem.is_enabled().then_some(first.obs.mem),
     }
 }
 
@@ -179,8 +45,8 @@ mod tests {
     use simkit::time::{SimDuration, SimTime};
     use workload::{Job, JobClass};
 
-    fn tiny_run() -> SimOutput {
-        let jobs: Vec<Job> = (0..20)
+    fn tiny_run(n: u64) -> SimOutput {
+        let jobs: Vec<Job> = (0..n)
             .map(|i| Job {
                 id: i + 1,
                 class: JobClass::Native,
@@ -201,39 +67,26 @@ mod tests {
     }
 
     #[test]
-    fn median_and_mad_are_robust() {
-        assert_eq!(median(&[]), 0);
-        assert_eq!(median(&[7]), 7);
-        assert_eq!(median(&[1, 9]), 5);
-        assert_eq!(median(&[1, 2, 1000]), 2, "outlier does not move the median");
-        assert_eq!(mad(&[1, 2, 1000], 2), 1);
-    }
-
-    #[test]
-    fn throughput_is_integer_milli_units() {
-        // 50 jobs in 2 s → 25 jobs/s → 25_000 milli.
-        assert_eq!(per_sec_milli(50, 2_000_000), 25_000);
-        assert_eq!(per_sec_milli(5, 0), 0, "zero wall never divides");
-    }
-
-    #[test]
-    fn measure_verifies_determinism_and_fills_counters() {
-        let m = measure(PerfConfig { warmup: 0, reps: 2 }, tiny_run);
-        assert_eq!(m.wall_us.len(), 2);
-        assert!(m.wall_us[0] <= m.wall_us[1], "sorted");
-        assert_eq!(m.jobs, 20);
-        assert!(m.events > 0);
-        assert!(m.work.is_enabled());
-        assert!(m.work.sched_cycles > 0);
-        assert_eq!(m.events, m.work.events_popped);
-        let s = m.to_scenario();
+    fn record_keeps_the_counts_of_a_deterministic_replay() {
+        let s = record(|| tiny_run(20));
         assert_eq!(s.jobs, 20);
-        assert_eq!(s.jobs_per_sec_milli, m.jobs_per_sec_milli());
+        assert!(s.work.is_enabled());
+        assert!(s.work.sched_cycles > 0);
+        assert!(s.work.events_popped > 0);
         // mem rides along exactly when the counting allocator is built in.
-        assert_eq!(m.mem.is_enabled(), obs::alloc::counting_enabled());
         assert_eq!(s.mem.is_some(), obs::alloc::counting_enabled());
-        if obs::alloc::counting_enabled() {
-            assert!(m.mem.allocations > 0, "{:?}", m.mem);
+        if let Some(mem) = s.mem {
+            assert!(mem.allocations > 0, "{mem:?}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "work counters differ between the two runs")]
+    fn record_panics_when_the_two_runs_disagree() {
+        let mut n = 19;
+        record(|| {
+            n += 1;
+            tiny_run(n)
+        });
     }
 }

@@ -87,14 +87,14 @@ COMMANDS
                                    sparklines, SLO breach windows and
                                    outage overlays; --html writes a
                                    self-contained SVG dashboard
-  perf      compare OLD.json NEW.json [--wall-tol-pct P]
+  perf      compare OLD.json NEW.json [--require-decrease C1,C2]
                                    diff two `bench --bin perf` baselines:
-                                   counters exactly, wall within P% (default
-                                   25); exits nonzero on regression
+                                   counters exactly; exits nonzero on
+                                   regression
   perf      show FILE.json         pretty-print one perf baseline
   perf      hotspots CYCLES.jsonl [--top N]
                                    attribute cost from a --record-cycles
-                                   dump: phase flame bars, P50/P99/max
+                                   dump: phase self-time bars, P50/P99/max
                                    per-cycle cost, exact top-N worst
                                    cycles with their sim-times
 

@@ -1,28 +1,25 @@
 //! `perf` — the perf-regression gate over `BENCH_*.json` baselines.
 //!
 //! `perf compare OLD NEW` diffs two baselines written by `bench --bin
-//! perf`: deterministic work counters are compared *exactly* (any increase
-//! fails), wall-clock medians within `--wall-tol-pct` percent (default 25;
-//! CI passes a generous value because shared runners are noisy). A detected
-//! regression returns an error, so the process exits nonzero — that is the
-//! gate. `--require-decrease C1,C2` additionally demands that the named
-//! work counters *strictly decreased* in every shared scenario — the gate
-//! CI runs when a change claims to reduce scheduler work. `perf show FILE`
-//! pretty-prints one baseline.
+//! perf`: deterministic work and allocation counters are compared
+//! *exactly* (any increase fails). A detected regression returns an error,
+//! so the process exits nonzero — that is the gate. `--require-decrease
+//! C1,C2` additionally demands that the named work counters *strictly
+//! decreased* in every shared scenario — the gate CI runs when a change
+//! claims to reduce scheduler work. `perf show FILE` pretty-prints one
+//! baseline.
 //!
 //! `perf hotspots CYCLES.jsonl` attributes cost from a `--record-cycles`
-//! flight-recorder dump: per-phase flame bars (order-queue sort vs backfill
-//! scan vs event pump), P50/P99/max per-cycle cost over the retained ring
-//! window (P² streaming estimators — the same machinery trace summaries
-//! use), and the exact top-K most expensive cycles with their sim-times.
+//! flight-recorder dump: per-phase self-time flame bars (order-queue sort
+//! vs backfill scan vs event pump, shares that sum to 100%), P50/P99/max
+//! per-cycle cost over the retained ring window (P² streaming estimators —
+//! the same machinery trace summaries use), and the exact top-K most
+//! expensive cycles with their sim-times.
 
 use crate::args::{ArgError, Args};
 use obs::perf::{compare, PerfBaseline};
 use obs::recorder::RecorderDump;
 use tracekit::P2;
-
-/// Default wall-clock tolerance, percent over the old median.
-const DEFAULT_WALL_TOL_PCT: u64 = 25;
 
 /// Default row count for the hotspots top-cycles table.
 const DEFAULT_HOTSPOT_ROWS: usize = 10;
@@ -40,8 +37,8 @@ pub fn run(args: &Args) -> Result<String, ArgError> {
             "unknown perf verb {other:?} (compare | show | hotspots)"
         ))),
         None => Err(ArgError(
-            "usage: perf compare OLD.json NEW.json [--wall-tol-pct P] | perf show FILE.json \
-             | perf hotspots CYCLES.jsonl [--top N]"
+            "usage: perf compare OLD.json NEW.json [--require-decrease C1,C2] \
+             | perf show FILE.json | perf hotspots CYCLES.jsonl [--top N]"
                 .into(),
         )),
     }
@@ -54,25 +51,19 @@ fn load(path: &str) -> Result<PerfBaseline, ArgError> {
 }
 
 fn run_compare(args: &Args) -> Result<String, ArgError> {
-    args.check_flags(&["wall-tol-pct", "require-decrease"])?;
+    args.check_flags(&["require-decrease"])?;
     let [old_path, new_path] = match args.positional.get(1..3) {
         Some([a, b]) => [a.as_str(), b.as_str()],
         _ => {
             return Err(ArgError(
-                "usage: perf compare OLD.json NEW.json [--wall-tol-pct P] \
-                 [--require-decrease C1,C2]"
-                    .into(),
+                "usage: perf compare OLD.json NEW.json [--require-decrease C1,C2]".into(),
             ))
         }
     };
-    let tol = args.get_or("wall-tol-pct", DEFAULT_WALL_TOL_PCT)?;
     let old = load(old_path)?;
     let new = load(new_path)?;
-    let cmp = compare(&old, &new, tol);
-    let mut out = format!(
-        "comparing {} ({}, rev {}) -> ({}, rev {}), wall tolerance +{tol}%\n",
-        old.machine, old_path, old.git_rev, new_path, new.git_rev
-    );
+    let cmp = compare(&old, &new);
+    let mut out = format!("comparing {} ({old_path}) -> ({new_path})\n", old.machine);
     out.push_str(&cmp.render());
     if cmp.is_regression() {
         // An Err exits nonzero: the report itself is the error message.
@@ -144,18 +135,9 @@ fn run_show(args: &Args) -> Result<String, ArgError> {
         .get(1)
         .ok_or_else(|| ArgError("usage: perf show FILE.json".into()))?;
     let b = load(path)?;
-    let mut out = format!(
-        "{} baseline (rev {}, {} reps after {} warmup, {}-job prefix)\n",
-        b.machine, b.git_rev, b.reps, b.warmup, b.jobs_prefix
-    );
+    let mut out = format!("{} baseline ({}-job prefix)\n", b.machine, b.jobs_prefix);
     for (name, s) in &b.scenarios {
-        out.push_str(&format!(
-            "  {name}: wall {:.1} ms (MAD {:.1}), {:.1} jobs/s, {:.0} events/s\n",
-            s.wall_us_median as f64 / 1e3,
-            s.wall_us_mad as f64 / 1e3,
-            s.jobs_per_sec_milli as f64 / 1e3,
-            s.events_per_sec_milli as f64 / 1e3,
-        ));
+        out.push_str(&format!("  {name}: {} jobs\n", s.jobs));
         for (counter, value) in s.work.fields() {
             out.push_str(&format!("    {counter:<28} {value}\n"));
         }
@@ -171,6 +153,32 @@ fn run_show(args: &Args) -> Result<String, ArgError> {
         }
     }
     Ok(out)
+}
+
+/// The spans the scheduler records inside `schedule-cycle`; every other
+/// span is top-level.
+const CYCLE_CHILDREN: [&str; 3] = ["order-queue", "free-profile", "backfill"];
+
+/// Each phase's self time: `schedule-cycle` minus the child spans nested in
+/// it, every other phase as recorded. The rows then sum to the top-level
+/// spans' total, so no nanosecond is counted twice.
+fn phase_self_times(phases: &[(String, u64, u64)]) -> Vec<(&str, u64, u64)> {
+    let children: u64 = phases
+        .iter()
+        .filter(|(name, _, _)| CYCLE_CHILDREN.contains(&name.as_str()))
+        .map(|(_, _, ns)| *ns)
+        .sum();
+    phases
+        .iter()
+        .map(|(name, calls, ns)| {
+            let own = if name == "schedule-cycle" {
+                ns.saturating_sub(children)
+            } else {
+                *ns
+            };
+            (name.as_str(), *calls, own)
+        })
+        .collect()
 }
 
 /// `perf hotspots CYCLES.jsonl [--top N]` — attribute cost from a
@@ -195,13 +203,15 @@ fn run_hotspots(args: &Args) -> Result<String, ArgError> {
         dump.top_k
     );
 
-    // Phase flame bars: run totals from the profiler, scaled to the
-    // hottest phase. Wall-clock values — attribution, not comparison.
+    // Phase flame bars: each span's self time from the profiler's run
+    // totals, scaled to the hottest row. Wall-clock values — attribution,
+    // not comparison.
     if !dump.phases.is_empty() {
-        let total: u64 = dump.phases.iter().map(|(_, _, ns)| *ns).sum();
-        let hottest = dump.phases.iter().map(|(_, _, ns)| *ns).max().unwrap_or(0);
-        out.push_str("\nphase breakdown (wall-clock run totals)\n");
-        for (name, calls, ns) in &dump.phases {
+        let rows = phase_self_times(&dump.phases);
+        let total: u64 = rows.iter().map(|(_, _, ns)| *ns).sum();
+        let hottest = rows.iter().map(|(_, _, ns)| *ns).max().unwrap_or(0);
+        out.push_str("\nphase breakdown (self time, wall-clock run totals)\n");
+        for (name, calls, ns) in &rows {
             let share = if total > 0 {
                 *ns as f64 / total as f64 * 100.0
             } else {
@@ -300,12 +310,7 @@ mod tests {
         scenarios.insert(
             "fault_free".to_string(),
             ScenarioPerf {
-                wall_us_median: 9000,
-                wall_us_mad: 150,
                 jobs: 30,
-                events: 500,
-                jobs_per_sec_milli: 3_333_333,
-                events_per_sec_milli: 55_555_555,
                 work,
                 mem: None,
             },
@@ -313,9 +318,6 @@ mod tests {
         PerfBaseline {
             schema: PERF_SCHEMA,
             machine: "ross".to_string(),
-            git_rev: "testrev".to_string(),
-            reps: 3,
-            warmup: 1,
             jobs_prefix: 2000,
             scenarios,
         }
@@ -411,6 +413,8 @@ mod tests {
         assert!(run(&args(&["perf", "frobnicate"])).is_err());
         assert!(run(&args(&["perf", "compare", "only-one.json"])).is_err());
         assert!(run(&args(&["perf", "compare", "a", "b", "--bogus", "1"])).is_err());
+        let err = run(&args(&["perf", "compare", "a", "b", "--wall-tol-pct", "5"])).unwrap_err();
+        assert!(err.0.contains("unknown flag --wall-tol-pct"), "{}", err.0);
         assert!(run(&args(&["perf", "show", "/no/such/file.json"])).is_err());
         assert!(run(&args(&["perf", "hotspots"])).is_err());
         assert!(run(&args(&["perf", "hotspots", "/no/such/cycles.jsonl"])).is_err());
@@ -444,6 +448,48 @@ mod tests {
         assert!(out.contains("mem"), "{out}");
         assert!(out.contains("not recorded"), "{out}");
         assert!(!out.contains("mem."), "no fabricated mem rows: {out}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn hotspots_phase_shares_are_self_times_that_sum_to_100() {
+        // schedule-cycle (800 ms) contains order-queue, free-profile and
+        // backfill (300 + 100 + 200 ms); event-pump (200 ms) is top-level,
+        // so the two top-level spans cover 1000 ms.
+        let mut text = String::from(
+            "{\"recorder_schema\":1,\"capacity\":4,\"top_k\":2,\"cycles_seen\":0,\"dropped\":0}\n",
+        );
+        for (name, ms) in [
+            ("backfill", 200u64),
+            ("event-pump", 200),
+            ("free-profile", 100),
+            ("order-queue", 300),
+            ("schedule-cycle", 800),
+        ] {
+            text.push_str(&format!(
+                "{{\"kind\":\"phase\",\"name\":\"{name}\",\"calls\":10,\"total_ns\":{}}}\n",
+                ms * 1_000_000
+            ));
+        }
+        let dump = RecorderDump::from_jsonl(&text).unwrap();
+        let self_ms: Vec<u64> = phase_self_times(&dump.phases)
+            .iter()
+            .map(|(_, _, ns)| ns / 1_000_000)
+            .collect();
+        assert_eq!(self_ms, [200, 200, 100, 300, 200]);
+
+        let dir = std::env::temp_dir().join("interstitial-perf-hotspots-self-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cycles.jsonl");
+        std::fs::write(&path, &text).unwrap();
+        let out = run(&args(&["perf", "hotspots", path.to_str().unwrap()])).unwrap();
+        let shares: Vec<f64> = out
+            .lines()
+            .filter_map(|l| l.split_whitespace().find_map(|w| w.strip_suffix('%')))
+            .map(|w| w.parse().unwrap())
+            .collect();
+        assert_eq!(shares, [20.0, 20.0, 10.0, 30.0, 20.0], "{out}");
+        assert_eq!(shares.iter().sum::<f64>(), 100.0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

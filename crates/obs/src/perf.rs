@@ -5,18 +5,15 @@
 //! of them. Both sides of that contract live here so the writer, the parser
 //! and the diff can never drift apart.
 //!
-//! Two kinds of data share the file, with different comparison rules:
+//! A baseline holds only deterministic counts, so every comparison is
+//! *exact*: the work counters ([`crate::work::WorkCounters`]) and, when the
+//! harness was built with `alloc-count`, the allocation counters. Any
+//! increase is a regression, any decrease an improvement. Wall time is not
+//! recorded here; the repository benchmark (`benchmark/`) measures it with
+//! its noise.
 //!
-//! * **Work counters** ([`crate::work::WorkCounters`]) — deterministic, so
-//!   they are compared *exactly*: any increase is a regression, any decrease
-//!   an improvement.
-//! * **Wall-clock** — noisy, so medians are compared within a caller-chosen
-//!   percentage tolerance (CI uses a generous one).
-//!
-//! All quantities are integers (simlint R3 discipline extends to the
-//! artifacts): wall time in microseconds, throughput in milli-jobs/sec and
-//! milli-events/sec. The emitted JSON is deterministic — BTreeMap scenario
-//! order, fixed field order — so baseline diffs in git history are readable.
+//! The emitted JSON is deterministic — BTreeMap scenario order, fixed field
+//! order — so baseline diffs in git history are readable.
 
 use crate::alloc::AllocCounters;
 use crate::json;
@@ -29,44 +26,28 @@ use std::collections::BTreeMap;
 /// pairs — regenerate both sides with the same bench harness instead.
 pub const PERF_SCHEMA: u64 = 2;
 
-/// Measured results for one scenario (e.g. `fault_free` or `faulted`).
+/// Recorded counts for one scenario (e.g. `fault_free` or `faulted`).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ScenarioPerf {
-    /// Median wall time over the repetitions, microseconds.
-    pub wall_us_median: u64,
-    /// Median absolute deviation of the wall times, microseconds.
-    pub wall_us_mad: u64,
     /// Jobs completed per replay (native + interstitial).
     pub jobs: u64,
-    /// Events processed per replay.
-    pub events: u64,
-    /// Throughput: jobs per second × 1000, from the median wall time.
-    pub jobs_per_sec_milli: u64,
-    /// Throughput: events per second × 1000, from the median wall time.
-    pub events_per_sec_milli: u64,
-    /// Deterministic work counters (identical across repetitions).
+    /// Deterministic work counters (identical across replays).
     pub work: WorkCounters,
     /// Allocation counters (schema ≥ 2, present only when the harness was
-    /// built with `alloc-count`; identical across repetitions).
+    /// built with `alloc-count`; identical across replays).
     pub mem: Option<AllocCounters>,
 }
 
-/// One machine's perf baseline: scenarios plus provenance.
+/// One machine's perf baseline.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PerfBaseline {
     /// Baseline schema version ([`PERF_SCHEMA`]).
     pub schema: u64,
     /// Machine preset key (`ross`, `blue_mountain`, `blue_pacific`).
     pub machine: String,
-    /// Git revision the baseline was recorded at (informational only).
-    pub git_rev: String,
-    /// Timed repetitions per scenario.
-    pub reps: u64,
-    /// Warmup repetitions (untimed).
-    pub warmup: u64,
     /// Trace truncation: replay only the first N jobs (0 = full trace).
     pub jobs_prefix: u64,
-    /// Scenario name → measurements, in BTreeMap (sorted) order.
+    /// Scenario name → counts, in BTreeMap (sorted) order.
     pub scenarios: BTreeMap<String, ScenarioPerf>,
 }
 
@@ -75,20 +56,13 @@ impl PerfBaseline {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        for (key, value) in [
-            ("schema", self.schema),
-            ("reps", self.reps),
-            ("warmup", self.warmup),
-            ("jobs_prefix", self.jobs_prefix),
-        ] {
+        for (key, value) in [("schema", self.schema), ("jobs_prefix", self.jobs_prefix)] {
             out.push_str("  ");
             json::push_key(&mut out, key);
             out.push_str(&format!("{value},\n"));
         }
         out.push_str("  ");
         let _ = json::push_str_field(&mut out, true, "machine", &self.machine);
-        out.push_str(",\n  ");
-        let _ = json::push_str_field(&mut out, true, "git_rev", &self.git_rev);
         out.push_str(",\n  \"scenarios\":{");
         let mut first_scn = true;
         for (name, s) in &self.scenarios {
@@ -98,20 +72,9 @@ impl PerfBaseline {
             first_scn = false;
             out.push_str("\n    ");
             json::push_key(&mut out, name);
-            out.push_str("{\n");
-            for (key, value) in [
-                ("wall_us_median", s.wall_us_median),
-                ("wall_us_mad", s.wall_us_mad),
-                ("jobs", s.jobs),
-                ("events", s.events),
-                ("jobs_per_sec_milli", s.jobs_per_sec_milli),
-                ("events_per_sec_milli", s.events_per_sec_milli),
-            ] {
-                out.push_str("      ");
-                json::push_key(&mut out, key);
-                out.push_str(&format!("{value},\n"));
-            }
-            out.push_str("      ");
+            out.push_str("{\n      ");
+            json::push_key(&mut out, "jobs");
+            out.push_str(&format!("{},\n      ", s.jobs));
             json::push_key(&mut out, "work");
             s.work.write_json(&mut out);
             if let Some(mem) = &s.mem {
@@ -138,11 +101,8 @@ impl PerfBaseline {
         for (key, value) in &root {
             match (key.as_str(), value) {
                 ("schema", JsonValue::Number(n)) => b.schema = *n,
-                ("reps", JsonValue::Number(n)) => b.reps = *n,
-                ("warmup", JsonValue::Number(n)) => b.warmup = *n,
                 ("jobs_prefix", JsonValue::Number(n)) => b.jobs_prefix = *n,
                 ("machine", JsonValue::String(s)) => b.machine = s.clone(),
-                ("git_rev", JsonValue::String(s)) => b.git_rev = s.clone(),
                 ("scenarios", JsonValue::Object(scns)) => {
                     for (name, scn) in scns {
                         b.scenarios
@@ -172,12 +132,7 @@ fn scenario_from_value(name: &str, value: &JsonValue) -> Result<ScenarioPerf, St
     let mut s = ScenarioPerf::default();
     for (key, value) in map {
         match (key.as_str(), value) {
-            ("wall_us_median", JsonValue::Number(n)) => s.wall_us_median = *n,
-            ("wall_us_mad", JsonValue::Number(n)) => s.wall_us_mad = *n,
             ("jobs", JsonValue::Number(n)) => s.jobs = *n,
-            ("events", JsonValue::Number(n)) => s.events = *n,
-            ("jobs_per_sec_milli", JsonValue::Number(n)) => s.jobs_per_sec_milli = *n,
-            ("events_per_sec_milli", JsonValue::Number(n)) => s.events_per_sec_milli = *n,
             ("work", JsonValue::Object(work)) => {
                 let mut w = WorkCounters::enabled();
                 for (counter, v) in work {
@@ -210,11 +165,11 @@ fn scenario_from_value(name: &str, value: &JsonValue) -> Result<ScenarioPerf, St
 /// Outcome of diffing two baselines.
 #[derive(Clone, Debug, Default)]
 pub struct PerfComparison {
-    /// Hard failures: counter increases, wall blow-ups, shape mismatches.
+    /// Hard failures: counter increases and shape mismatches.
     pub regressions: Vec<String>,
-    /// Counter decreases and wall speed-ups (informational).
+    /// Counter decreases (informational).
     pub improvements: Vec<String>,
-    /// Neutral observations (provenance changes, new scenarios).
+    /// Neutral observations (new scenarios, newly present mem sections).
     pub notes: Vec<String>,
 }
 
@@ -243,17 +198,16 @@ impl PerfComparison {
             out.push('\n');
         }
         if self.regressions.is_empty() && self.improvements.is_empty() {
-            out.push_str("no change: counters identical, wall within tolerance\n");
+            out.push_str("no change: counters identical\n");
         }
         out
     }
 }
 
-/// Diff `new` against `old`: counters exactly, wall medians within
-/// `wall_tol_pct` percent. Provenance (`git_rev`, `reps`) never fails the
-/// gate; shape mismatches (machine, jobs_prefix, missing scenarios) do,
-/// because they make the counters incomparable.
-pub fn compare(old: &PerfBaseline, new: &PerfBaseline, wall_tol_pct: u64) -> PerfComparison {
+/// Diff `new` against `old`, counter by counter and exactly. Shape
+/// mismatches (schema, machine, jobs_prefix, missing scenarios) fail the
+/// gate, because they make the counters incomparable.
+pub fn compare(old: &PerfBaseline, new: &PerfBaseline) -> PerfComparison {
     let mut cmp = PerfComparison::default();
     if old.schema != new.schema {
         cmp.regressions.push(format!(
@@ -276,10 +230,6 @@ pub fn compare(old: &PerfBaseline, new: &PerfBaseline, wall_tol_pct: u64) -> Per
             old.jobs_prefix, new.jobs_prefix
         ));
         return cmp;
-    }
-    if old.git_rev != new.git_rev {
-        cmp.notes
-            .push(format!("git_rev {} -> {}", old.git_rev, new.git_rev));
     }
     for (name, old_s) in &old.scenarios {
         let Some(new_s) = new.scenarios.get(name) else {
@@ -334,19 +284,6 @@ pub fn compare(old: &PerfBaseline, new: &PerfBaseline, wall_tol_pct: u64) -> Per
                 ));
             }
             (None, None) => {}
-        }
-        let ceiling = (old_s.wall_us_median as u128) * (100 + wall_tol_pct as u128) / 100;
-        if (new_s.wall_us_median as u128) > ceiling {
-            cmp.regressions.push(format!(
-                "{name}: wall median {}us -> {}us exceeds +{wall_tol_pct}% tolerance \
-                 (ceiling {ceiling}us)",
-                old_s.wall_us_median, new_s.wall_us_median
-            ));
-        } else if new_s.wall_us_median < old_s.wall_us_median {
-            cmp.improvements.push(format!(
-                "{name}: wall median {}us -> {}us",
-                old_s.wall_us_median, new_s.wall_us_median
-            ));
         }
     }
     for name in new.scenarios.keys() {
@@ -541,18 +478,13 @@ mod tests {
         m
     }
 
-    fn baseline(wall: u64, candidates: u64) -> PerfBaseline {
+    fn baseline(candidates: u64) -> PerfBaseline {
         let mut work = WorkCounters::enabled();
         work.record_engine(100, 120, 8);
         work.record_sched(10, 5, 3, candidates, 40);
         work.record_churn(1, 2);
         let scenario = ScenarioPerf {
-            wall_us_median: wall,
-            wall_us_mad: wall / 20,
             jobs: 8,
-            events: 100,
-            jobs_per_sec_milli: 8_000_000_000u64.checked_div(wall).unwrap_or(0),
-            events_per_sec_milli: 100_000_000_000u64.checked_div(wall).unwrap_or(0),
             work,
             mem: Some(mem(5000)),
         };
@@ -562,9 +494,6 @@ mod tests {
         PerfBaseline {
             schema: PERF_SCHEMA,
             machine: "ross".to_string(),
-            git_rev: "abc1234".to_string(),
-            reps: 3,
-            warmup: 1,
             jobs_prefix: 2000,
             scenarios,
         }
@@ -572,7 +501,7 @@ mod tests {
 
     #[test]
     fn json_round_trips() {
-        let b = baseline(5000, 77);
+        let b = baseline(77);
         let text = b.to_json();
         let parsed = PerfBaseline::from_json(&text).unwrap();
         assert_eq!(parsed, b);
@@ -601,7 +530,7 @@ mod tests {
         // Field order, indentation and the optional trailing mem section are
         // all contractual: git diffs of regenerated baselines must be
         // readable, and the reader round-trips this byte-for-byte.
-        let mut b = baseline(5000, 77);
+        let mut b = baseline(77);
         b.scenarios.remove("faulted");
         let scn = b.scenarios.get_mut("fault_free").unwrap();
         scn.mem = Some(mem(2));
@@ -612,11 +541,8 @@ mod tests {
             w.record_churn(1, 2);
             w
         };
-        let expected = "{\n  \"schema\":2,\n  \"reps\":3,\n  \"warmup\":1,\n  \
-\"jobs_prefix\":2000,\n  \"machine\":\"ross\",\n  \"git_rev\":\"abc1234\",\n  \
-\"scenarios\":{\n    \"fault_free\":{\n      \"wall_us_median\":5000,\n      \
-\"wall_us_mad\":250,\n      \"jobs\":8,\n      \"events\":100,\n      \
-\"jobs_per_sec_milli\":1600000,\n      \"events_per_sec_milli\":20000000,\n      \
+        let expected = "{\n  \"schema\":2,\n  \"jobs_prefix\":2000,\n  \
+\"machine\":\"ross\",\n  \"scenarios\":{\n    \"fault_free\":{\n      \"jobs\":8,\n      \
 \"work\":{\"events_popped\":100,\"events_scheduled\":120,\"heap_peak_depth\":8,\
 \"sched_cycles\":10,\"inorder_starts\":5,\"backfill_starts\":3,\
 \"backfill_candidates_scanned\":77,\"profile_segments_walked\":40,\
@@ -658,13 +584,13 @@ mod tests {
 
     #[test]
     fn compare_rejects_mixed_schema_pairs() {
-        let old = baseline(5000, 77);
-        let mut legacy = baseline(5000, 77);
+        let old = baseline(77);
+        let mut legacy = baseline(77);
         legacy.schema = 1;
         for scn in legacy.scenarios.values_mut() {
             scn.mem = None;
         }
-        let cmp = compare(&legacy, &old, 25);
+        let cmp = compare(&legacy, &old);
         assert!(cmp.is_regression());
         assert_eq!(cmp.regressions.len(), 1, "fails fast, no field spray");
         assert!(cmp.regressions[0].contains("schema mismatch"));
@@ -673,10 +599,10 @@ mod tests {
 
     #[test]
     fn mem_counters_gate_exactly() {
-        let old = baseline(5000, 77);
-        let mut worse = baseline(5000, 77);
+        let old = baseline(77);
+        let mut worse = baseline(77);
         worse.scenarios.get_mut("faulted").unwrap().mem = Some(mem(5001));
-        let cmp = compare(&old, &worse, 25);
+        let cmp = compare(&old, &worse);
         assert!(cmp.is_regression());
         assert!(
             cmp.regressions
@@ -685,37 +611,37 @@ mod tests {
             "{:?}",
             cmp.regressions
         );
-        let mut better = baseline(5000, 77);
+        let mut better = baseline(77);
         better.scenarios.get_mut("faulted").unwrap().mem = Some(mem(4999));
-        let cmp = compare(&old, &better, 25);
+        let cmp = compare(&old, &better);
         assert!(!cmp.is_regression());
         assert!(cmp.improvements.iter().any(|i| i.contains("mem counter")));
     }
 
     #[test]
     fn missing_mem_in_candidate_fails_but_new_mem_is_a_note() {
-        let old = baseline(5000, 77);
-        let mut no_mem = baseline(5000, 77);
+        let old = baseline(77);
+        let mut no_mem = baseline(77);
         for scn in no_mem.scenarios.values_mut() {
             scn.mem = None;
         }
-        let cmp = compare(&old, &no_mem, 25);
+        let cmp = compare(&old, &no_mem);
         assert!(cmp.is_regression());
         assert!(cmp.regressions[0].contains("alloc-count"));
         // Baseline without mem, candidate with: informational only.
-        let cmp = compare(&no_mem, &old, 25);
+        let cmp = compare(&no_mem, &old);
         assert!(!cmp.is_regression());
         assert!(cmp.notes.iter().any(|n| n.contains("newly present")));
         // Neither side has mem: silent.
-        let cmp = compare(&no_mem, &no_mem, 25);
+        let cmp = compare(&no_mem, &no_mem);
         assert!(!cmp.is_regression());
         assert!(cmp.notes.is_empty());
     }
 
     #[test]
     fn identical_baselines_compare_clean() {
-        let b = baseline(5000, 77);
-        let cmp = compare(&b, &b, 25);
+        let b = baseline(77);
+        let cmp = compare(&b, &b);
         assert!(!cmp.is_regression());
         assert!(cmp.improvements.is_empty());
         assert!(cmp.render().contains("no change"));
@@ -723,44 +649,28 @@ mod tests {
 
     #[test]
     fn counter_increase_is_a_regression_decrease_an_improvement() {
-        let old = baseline(5000, 77);
-        let worse = baseline(5000, 78);
-        let cmp = compare(&old, &worse, 25);
+        let old = baseline(77);
+        let worse = baseline(78);
+        let cmp = compare(&old, &worse);
         assert!(cmp.is_regression());
         assert!(cmp.regressions[0].contains("backfill_candidates_scanned"));
-        let better = baseline(5000, 76);
-        let cmp = compare(&old, &better, 25);
+        let better = baseline(76);
+        let cmp = compare(&old, &better);
         assert!(!cmp.is_regression());
         assert_eq!(cmp.improvements.len(), 2, "both scenarios improved");
     }
 
     #[test]
-    fn wall_clock_respects_tolerance() {
-        let old = baseline(1000, 77);
-        let slower = baseline(1200, 77);
-        assert!(!compare(&old, &slower, 25).is_regression(), "within +25%");
-        assert!(compare(&old, &slower, 10).is_regression(), "beyond +10%");
-        let faster = baseline(800, 77);
-        let cmp = compare(&old, &faster, 25);
-        assert!(!cmp.is_regression());
-        assert!(!cmp.improvements.is_empty());
-    }
-
-    #[test]
     fn shape_mismatches_fail_the_gate() {
-        let old = baseline(1000, 77);
-        let mut other_machine = baseline(1000, 77);
+        let old = baseline(77);
+        let mut other_machine = baseline(77);
         other_machine.machine = "blue_mountain".to_string();
-        assert!(compare(&old, &other_machine, 25).is_regression());
-        let mut truncated_differently = baseline(1000, 77);
+        assert!(compare(&old, &other_machine).is_regression());
+        let mut truncated_differently = baseline(77);
         truncated_differently.jobs_prefix = 500;
-        assert!(compare(&old, &truncated_differently, 25).is_regression());
-        let mut missing = baseline(1000, 77);
+        assert!(compare(&old, &truncated_differently).is_regression());
+        let mut missing = baseline(77);
         missing.scenarios.remove("faulted");
-        assert!(compare(&old, &missing, 25).is_regression());
-        // Provenance changes are notes, not failures.
-        let mut new_rev = baseline(1000, 77);
-        new_rev.git_rev = "fff0000".to_string();
-        assert!(!compare(&old, &new_rev, 25).is_regression());
+        assert!(compare(&old, &missing).is_regression());
     }
 }
