@@ -554,6 +554,16 @@ mod tests {
             !out.contains("wall µs      P50"),
             "no fabricated wall distribution: {out}"
         );
+        // Bytes after the closing brace of the header or of a cycle line
+        // fail the command, naming the line.
+        let text = rec.counters_jsonl();
+        for (at, want) in [(0, "line 1, byte"), (1, "line 2, byte")] {
+            let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+            lines[at].push_str("GARBAGE");
+            std::fs::write(&lean, lines.join("\n")).unwrap();
+            let err = run(&args(&["perf", "hotspots", lean.to_str().unwrap()])).unwrap_err();
+            assert!(err.0.contains(want), "{}", err.0);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

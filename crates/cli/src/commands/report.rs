@@ -418,6 +418,31 @@ mod tests {
         std::fs::write(&bad, "{\"not\":\"telemetry\"}\n").unwrap();
         let err = run(&parse(&["report", bad.to_str().unwrap()])).unwrap_err();
         assert!(err.0.contains("not a telemetry header"), "{err}");
+        // A corrupt export fails, naming the line and byte of the fault.
+        let good = write_export("good.jsonl");
+        let text = std::fs::read_to_string(&good).unwrap();
+        let edit = |at: usize, f: fn(&str) -> String| -> String {
+            let lines = text.lines().enumerate();
+            lines
+                .map(|(i, l)| if i == at { f(l) } else { l.to_string() } + "\n")
+                .collect()
+        };
+        for (corrupt, want) in [
+            (edit(1, |l| format!("{l}GARBAGE")), "line 2, byte 110"),
+            (
+                edit(0, |l| l.replace("\"cadence_s\":60", "\"cadence_s\":60xyz")),
+                "line 1, byte",
+            ),
+            (
+                edit(2, |l| l.trim_end_matches('}').to_string()),
+                "line 3, byte",
+            ),
+        ] {
+            std::fs::write(&bad, corrupt).unwrap();
+            let err = run(&parse(&["report", bad.to_str().unwrap()])).unwrap_err();
+            assert!(err.0.contains(want), "{err}");
+        }
         let _ = std::fs::remove_file(bad);
+        let _ = std::fs::remove_file(good);
     }
 }

@@ -90,28 +90,25 @@ impl PerfBaseline {
 
     /// Parse a baseline written by [`PerfBaseline::to_json`].
     ///
-    /// Accepts any whitespace layout; unknown keys are ignored so older
+    /// Accepts any whitespace layout; unknown keys are skipped so older
     /// readers tolerate newer writers.
     pub fn from_json(text: &str) -> Result<PerfBaseline, String> {
-        let root = match parse_value(text)? {
-            JsonValue::Object(map) => map,
-            _ => return Err("baseline root is not a JSON object".to_string()),
-        };
         let mut b = PerfBaseline::default();
-        for (key, value) in &root {
-            match (key.as_str(), value) {
-                ("schema", JsonValue::Number(n)) => b.schema = *n,
-                ("jobs_prefix", JsonValue::Number(n)) => b.jobs_prefix = *n,
-                ("machine", JsonValue::String(s)) => b.machine = s.clone(),
-                ("scenarios", JsonValue::Object(scns)) => {
-                    for (name, scn) in scns {
-                        b.scenarios
-                            .insert(name.clone(), scenario_from_value(name, scn)?);
-                    }
-                }
-                _ => {}
+        json::read_object(text, 1, |r, key| {
+            match key {
+                "schema" => b.schema = r.u64()?,
+                "jobs_prefix" => b.jobs_prefix = r.u64()?,
+                "machine" => b.machine = r.string()?.to_string(),
+                "scenarios" => r.object(|r, name| {
+                    let s = scenario(r)?;
+                    b.scenarios.insert(name.to_string(), s);
+                    Ok(())
+                })?,
+                _ => r.skip()?,
             }
-        }
+            Ok(())
+        })
+        .map_err(|e| e.to_string())?;
         // Schema 1 is schema 2 without the optional "mem" sections, so the
         // same reader accepts both; `compare` still refuses mixed pairs.
         if b.schema != PERF_SCHEMA && b.schema != 1 {
@@ -124,38 +121,39 @@ impl PerfBaseline {
     }
 }
 
-fn scenario_from_value(name: &str, value: &JsonValue) -> Result<ScenarioPerf, String> {
-    let map = match value {
-        JsonValue::Object(map) => map,
-        _ => return Err(format!("scenario {name:?} is not a JSON object")),
-    };
+/// Read one scenario object. Counters this build does not know are
+/// skipped (forward compat).
+fn scenario(r: &mut json::Reader<'_>) -> Result<ScenarioPerf, json::Error> {
     let mut s = ScenarioPerf::default();
-    for (key, value) in map {
-        match (key.as_str(), value) {
-            ("jobs", JsonValue::Number(n)) => s.jobs = *n,
-            ("work", JsonValue::Object(work)) => {
+    r.object(|r, key| {
+        match key {
+            "jobs" => s.jobs = r.u64()?,
+            "work" => {
                 let mut w = WorkCounters::enabled();
-                for (counter, v) in work {
-                    if let JsonValue::Number(n) = v {
-                        // Unknown counters are ignored (forward compat).
-                        let _ = w.set_field(counter, *n);
-                    }
-                }
+                r.object(|r, counter| counter_value(r, |n| w.set_field(counter, n)))?;
                 s.work = w;
             }
-            ("mem", JsonValue::Object(mem)) => {
+            "mem" => {
                 let mut m = AllocCounters::enabled();
-                for (counter, v) in mem {
-                    if let JsonValue::Number(n) = v {
-                        let _ = m.set_field(counter, *n);
-                    }
-                }
+                r.object(|r, counter| counter_value(r, |n| m.set_field(counter, n)))?;
                 s.mem = Some(m);
             }
-            _ => {}
+            _ => r.skip()?,
         }
-    }
+        Ok(())
+    })?;
     Ok(s)
+}
+
+/// Hand a counter's value to `set` when it is a number; skip it otherwise.
+fn counter_value(
+    r: &mut json::Reader<'_>,
+    set: impl FnOnce(u64) -> bool,
+) -> Result<(), json::Error> {
+    if let Some(json::Scalar::U64(n)) = r.value()? {
+        let _ = set(n);
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -293,175 +291,6 @@ pub fn compare(old: &PerfBaseline, new: &PerfBaseline) -> PerfComparison {
         }
     }
     cmp
-}
-
-// ---------------------------------------------------------------------------
-// Minimal JSON reader (objects, strings, unsigned integers)
-// ---------------------------------------------------------------------------
-
-/// The JSON subset baselines use. Arrays, floats, booleans and null do not
-/// appear in the format and are rejected by the parser.
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum JsonValue {
-    Number(u64),
-    String(String),
-    Object(BTreeMap<String, JsonValue>),
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, want: u8) -> Result<(), String> {
-        if self.peek() == Some(want) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {}, found {:?}",
-                want as char,
-                self.pos,
-                self.peek().map(|b| b as char)
-            ))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        other => {
-                            return Err(format!(
-                                "unsupported escape {:?} at byte {}",
-                                other.map(|b| b as char),
-                                self.pos
-                            ))
-                        }
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 passes through unchanged: we copy raw
-                    // bytes of one char at a time via str slicing.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    match s.chars().next() {
-                        Some(c) => {
-                            out.push(c);
-                            self.pos += c.len_utf8();
-                        }
-                        None => return Err("unterminated string".to_string()),
-                    }
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<u64, String> {
-        let start = self.pos;
-        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if start == self.pos {
-            return Err(format!("expected digits at byte {start}"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|e| e.to_string())?
-            .parse::<u64>()
-            .map_err(|e| format!("bad integer at byte {start}: {e}"))
-    }
-
-    fn value(&mut self, depth: u32) -> Result<JsonValue, String> {
-        if depth > 16 {
-            return Err("JSON nesting too deep".to_string());
-        }
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => {
-                self.pos += 1;
-                let mut map = BTreeMap::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(map));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.skip_ws();
-                    self.eat(b':')?;
-                    let value = self.value(depth + 1)?;
-                    map.insert(key, value);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(JsonValue::Object(map));
-                        }
-                        other => {
-                            return Err(format!(
-                                "expected ',' or '}}' at byte {}, found {:?}",
-                                self.pos,
-                                other.map(|b| b as char)
-                            ))
-                        }
-                    }
-                }
-            }
-            Some(b'"') => Ok(JsonValue::String(self.string()?)),
-            Some(b) if b.is_ascii_digit() => Ok(JsonValue::Number(self.number()?)),
-            other => Err(format!(
-                "unsupported JSON value at byte {} (found {:?}): baselines \
-                 contain only objects, strings and unsigned integers",
-                self.pos,
-                other.map(|b| b as char)
-            )),
-        }
-    }
-}
-
-fn parse_value(text: &str) -> Result<JsonValue, String> {
-    let mut r = Reader {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let v = r.value(0)?;
-    r.skip_ws();
-    if r.pos != r.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", r.pos));
-    }
-    Ok(v)
 }
 
 #[cfg(test)]

@@ -392,128 +392,31 @@ pub struct RecorderDump {
     pub phases: Vec<(String, u64, u64)>,
 }
 
-/// A value in a flat recorder line: unsigned integer or string.
-enum FlatValue {
-    Number(u64),
-    Text(String),
-}
-
-/// Parse one flat JSON object line (`{"k":1,"s":"x",…}`) into pairs.
-/// Recorder lines are flat by construction — no nesting, no arrays.
-fn parse_flat(line: &str) -> Result<Vec<(String, FlatValue)>, String> {
-    let bytes = line.as_bytes();
-    let mut pos = 0usize;
-    let mut out = Vec::new();
-    let skip_ws = |pos: &mut usize| {
-        while bytes
-            .get(*pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\r'))
-        {
-            *pos += 1;
-        }
-    };
-    let eat = |pos: &mut usize, want: u8| -> Result<(), String> {
-        if bytes.get(*pos) == Some(&want) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {} of {line:?}",
-                want as char, *pos
-            ))
-        }
-    };
-    let string = |pos: &mut usize| -> Result<String, String> {
-        eat(pos, b'"')?;
-        let start = *pos;
-        while let Some(&b) = bytes.get(*pos) {
-            if b == b'"' {
-                let s = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-                *pos += 1;
-                return Ok(s.to_string());
-            }
-            if b == b'\\' {
-                return Err(format!("escapes unsupported in recorder line {line:?}"));
-            }
-            *pos += 1;
-        }
-        Err(format!("unterminated string in {line:?}"))
-    };
-    let number = |pos: &mut usize| -> Result<u64, String> {
-        let start = *pos;
-        while bytes.get(*pos).is_some_and(|b| b.is_ascii_digit()) {
-            *pos += 1;
-        }
-        if start == *pos {
-            return Err(format!("expected digits at byte {start} of {line:?}"));
-        }
-        std::str::from_utf8(&bytes[start..*pos])
-            .map_err(|e| e.to_string())?
-            .parse::<u64>()
-            .map_err(|e| format!("bad integer in {line:?}: {e}"))
-    };
-    skip_ws(&mut pos);
-    eat(&mut pos, b'{')?;
-    skip_ws(&mut pos);
-    if bytes.get(pos) == Some(&b'}') {
-        return Ok(out);
-    }
-    loop {
-        skip_ws(&mut pos);
-        let key = string(&mut pos)?;
-        skip_ws(&mut pos);
-        eat(&mut pos, b':')?;
-        skip_ws(&mut pos);
-        let value = match bytes.get(pos) {
-            Some(b'"') => FlatValue::Text(string(&mut pos)?),
-            Some(b) if b.is_ascii_digit() => FlatValue::Number(number(&mut pos)?),
-            other => {
-                return Err(format!(
-                    "unsupported value at byte {pos} of {line:?} (found {:?})",
-                    other.map(|b| *b as char)
-                ))
-            }
-        };
-        out.push((key, value));
-        skip_ws(&mut pos);
-        match bytes.get(pos) {
-            Some(b',') => pos += 1,
-            Some(b'}') => return Ok(out),
-            other => {
-                return Err(format!(
-                    "expected ',' or '}}' at byte {pos} of {line:?} (found {:?})",
-                    other.map(|b| *b as char)
-                ))
-            }
-        }
-    }
-}
-
 impl RecorderDump {
     /// Parse JSONL written by [`CycleRecorder::to_jsonl`] or
     /// [`CycleRecorder::counters_jsonl`] (the counter-only form simply
-    /// leaves the nanos at zero and carries no phase lines).
+    /// leaves the nanos at zero and carries no phase lines). Strict: a
+    /// malformed line is an error naming its line and byte.
     pub fn from_jsonl(text: &str) -> Result<RecorderDump, String> {
-        let mut lines = text
-            .lines()
-            .enumerate()
+        let mut lines = (1..)
+            .zip(text.lines())
             .filter(|(_, l)| !l.trim().is_empty());
-        let (_, header) = lines
+        let (lineno, header) = lines
             .next()
             .ok_or_else(|| "empty recorder dump".to_string())?;
         let mut dump = RecorderDump::default();
-        for (key, value) in parse_flat(header)? {
-            if let FlatValue::Number(n) = value {
-                match key.as_str() {
-                    "recorder_schema" => dump.schema = n,
-                    "capacity" => dump.capacity = n,
-                    "top_k" => dump.top_k = n,
-                    "cycles_seen" => dump.cycles_seen = n,
-                    "dropped" => dump.dropped = n,
-                    _ => {}
-                }
+        json::read_object(header, lineno, |r, key| {
+            match key {
+                "recorder_schema" => dump.schema = r.u64()?,
+                "capacity" => dump.capacity = r.u64()?,
+                "top_k" => dump.top_k = r.u64()?,
+                "cycles_seen" => dump.cycles_seen = r.u64()?,
+                "dropped" => dump.dropped = r.u64()?,
+                _ => r.skip()?,
             }
-        }
+            Ok(())
+        })
+        .map_err(|e| e.to_string())?;
         if dump.schema != RECORDER_SCHEMA {
             return Err(format!(
                 "unsupported recorder schema {} (expected {RECORDER_SCHEMA}) — is this a \
@@ -522,35 +425,30 @@ impl RecorderDump {
             ));
         }
         for (lineno, line) in lines {
-            let pairs = parse_flat(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-            let mut kind = String::new();
-            let mut name = String::new();
+            let (mut kind, mut name) = ("", "");
             let mut rec = CycleRecord::default();
-            let mut calls = 0u64;
-            let mut total_ns = 0u64;
-            for (key, value) in pairs {
-                match (key.as_str(), value) {
-                    ("kind", FlatValue::Text(s)) => kind = s,
-                    ("name", FlatValue::Text(s)) => name = s,
-                    ("calls", FlatValue::Number(n)) => calls = n,
-                    ("total_ns", FlatValue::Number(n)) => total_ns = n,
-                    (field, FlatValue::Number(n)) => {
-                        // Unknown numeric fields are ignored (forward compat).
-                        let _ = rec.set_field(field, n);
+            let (mut calls, mut total_ns) = (0, 0);
+            json::read_object(line, lineno, |r, key| {
+                match key {
+                    "kind" => kind = r.string()?,
+                    "name" => name = r.string()?,
+                    "calls" => calls = r.u64()?,
+                    "total_ns" => total_ns = r.u64()?,
+                    // Unknown fields are skipped (forward compat).
+                    field => {
+                        if let Some(json::Scalar::U64(n)) = r.value()? {
+                            let _ = rec.set_field(field, n);
+                        }
                     }
-                    _ => {}
                 }
-            }
-            match kind.as_str() {
+                Ok(())
+            })
+            .map_err(|e| e.to_string())?;
+            match kind {
                 "cycle" => dump.ring.push(rec),
                 "top" => dump.top.push(rec),
-                "phase" => dump.phases.push((name, calls, total_ns)),
-                other => {
-                    return Err(format!(
-                        "line {}: unknown record kind {other:?}",
-                        lineno + 1
-                    ))
-                }
+                "phase" => dump.phases.push((name.to_string(), calls, total_ns)),
+                other => return Err(format!("line {lineno}: unknown record kind {other:?}")),
             }
         }
         Ok(dump)

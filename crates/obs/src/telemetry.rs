@@ -397,6 +397,19 @@ fn push_series_line(out: &mut String, name: &str, values: &[u64]) {
     out.push_str("]}\n");
 }
 
+/// The header's required counts, in the order the export writes them.
+const HEADER_FIELDS: [&str; 6] = [
+    "cadence_s",
+    "effective_cadence_s",
+    "decimations",
+    "points",
+    "signals",
+    "annotations",
+];
+
+/// An annotation line's numeric fields, in the order the export writes them.
+const ANNOTATION_NUMBERS: [&str; 3] = ["t", "value", "limit"];
+
 /// One annotation as read back from an export (owned strings).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DumpAnnotation {
@@ -439,47 +452,77 @@ impl TelemetryDump {
     /// line, or column lengths that disagree with the tick index are all
     /// hard errors (with 1-based line numbers).
     pub fn from_jsonl(text: &str) -> Result<TelemetryDump, String> {
-        let mut lines = text.lines().enumerate();
+        let mut lines = (1..).zip(text.lines());
         let (_, header) = lines
             .next()
             .ok_or_else(|| "empty telemetry file (no header line)".to_string())?;
-        let schema = field_u64(header, "telemetry_schema")
-            .ok_or_else(|| format!("line 1: not a telemetry header: {header:?}"))?;
+        let mut schema = None;
+        let mut fields = [None; 6];
+        let (mut machine, mut cpus) = (None, None);
+        json::read_object(header, 1, |r, key| {
+            match key {
+                "telemetry_schema" => schema = Some(r.u64()?),
+                "machine" => machine = Some(r.string()?),
+                "cpus" => cpus = Some(r.u64()?),
+                _ => match HEADER_FIELDS.iter().position(|f| *f == key) {
+                    Some(i) => fields[i] = Some(r.u64()?),
+                    None => r.skip()?,
+                },
+            }
+            Ok(())
+        })
+        .map_err(|e| e.to_string())?;
+        let schema = schema.ok_or_else(|| format!("line 1: not a telemetry header: {header:?}"))?;
         if schema == 0 || schema > TELEMETRY_SCHEMA {
             return Err(format!(
                 "line 1: unsupported telemetry schema {schema} (this reader handles 1-{TELEMETRY_SCHEMA})"
             ));
         }
-        let expect = |key: &'static str| {
-            field_u64(header, key).ok_or_else(|| format!("line 1: header missing {key:?}"))
-        };
-        let declared_points = expect("points")?;
-        let declared_signals = expect("signals")?;
-        let declared_annotations = expect("annotations")?;
-        let machine = match (field_str(header, "machine"), field_u64(header, "cpus")) {
+        let machine = match (machine, cpus) {
             (Some(name), Some(cpus)) => Some((
                 name.to_string(),
                 u32::try_from(cpus).map_err(|_| format!("line 1: cpus {cpus} out of range"))?,
             )),
             _ => None,
         };
+        let need = |i: usize| {
+            fields[i].ok_or_else(|| format!("line 1: header missing {:?}", HEADER_FIELDS[i]))
+        };
         let mut dump = TelemetryDump {
             schema,
             machine,
-            cadence_s: expect("cadence_s")?,
-            effective_cadence_s: expect("effective_cadence_s")?,
-            decimations: expect("decimations")?,
+            cadence_s: need(0)?,
+            effective_cadence_s: need(1)?,
+            decimations: need(2)?,
             ..TelemetryDump::default()
         };
+        let (declared_points, declared_signals, declared_annotations) =
+            (need(3)?, need(4)?, need(5)?);
         let mut saw_ticks = false;
-        for (idx, line) in lines {
-            let lineno = idx + 1;
+        for (lineno, line) in lines {
             if line.trim().is_empty() {
                 return Err(format!("line {lineno}: blank line in telemetry file"));
             }
-            if let Some(name) = field_str(line, "signal") {
-                let values = parse_values(line)
-                    .map_err(|e| format!("line {lineno}: signal {name:?}: {e}"))?;
+            let (mut signal, mut values, mut ann, mut label) = (None, None, None, None);
+            let mut numbers = [None; 3];
+            json::read_object(line, lineno, |r, key| {
+                match key {
+                    "signal" => signal = Some(r.string()?),
+                    "values" => values = Some(r.u64_array()?),
+                    "ann" => ann = Some(r.string()?),
+                    "label" => label = Some(r.string()?),
+                    _ => match ANNOTATION_NUMBERS.iter().position(|f| *f == key) {
+                        Some(i) => numbers[i] = Some(r.u64()?),
+                        None => r.skip()?,
+                    },
+                }
+                Ok(())
+            })
+            .map_err(|e| e.to_string())?;
+            if let Some(name) = signal {
+                let values = values.ok_or_else(|| {
+                    format!("line {lineno}: signal {name:?}: missing \"values\" array")
+                })?;
                 if name == TICK_SIGNAL {
                     if saw_ticks {
                         return Err(format!("line {lineno}: duplicate {TICK_SIGNAL:?} column"));
@@ -489,19 +532,23 @@ impl TelemetryDump {
                 } else {
                     dump.series.push((name.to_string(), values));
                 }
-            } else if let Some(kind) = field_str(line, "ann") {
-                let need = |key: &'static str| {
-                    field_u64(line, key)
-                        .ok_or_else(|| format!("line {lineno}: annotation missing {key:?}"))
+            } else if let Some(kind) = ann {
+                let need = |i: usize| {
+                    numbers[i].ok_or_else(|| {
+                        format!(
+                            "line {lineno}: annotation missing {:?}",
+                            ANNOTATION_NUMBERS[i]
+                        )
+                    })
                 };
                 dump.annotations.push(DumpAnnotation {
-                    t_s: need("t")?,
+                    t_s: need(0)?,
                     kind: kind.to_string(),
-                    label: field_str(line, "label")
+                    label: label
                         .ok_or_else(|| format!("line {lineno}: annotation missing \"label\""))?
                         .to_string(),
-                    value: need("value")?,
-                    limit: need("limit")?,
+                    value: need(1)?,
+                    limit: need(2)?,
                 });
             } else {
                 return Err(format!(
@@ -549,52 +596,6 @@ impl TelemetryDump {
             .find(|(name, _)| name == signal)
             .map(|(_, v)| v.as_slice())
     }
-}
-
-/// Find `"key":<digits>` in a machine-written JSON line.
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let at = line.find(&needle)? + needle.len();
-    let rest = &line[at..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    if end == 0 {
-        return None;
-    }
-    rest[..end].parse().ok()
-}
-
-/// Find `"key":"<string>"` in a machine-written JSON line. The values we
-/// read back (signal names, annotation tags, machine names) never contain
-/// escapes, so a raw slice up to the closing quote is exact.
-fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":\"");
-    let at = line.find(&needle)? + needle.len();
-    let rest = &line[at..];
-    rest.split('"').next()
-}
-
-/// Parse the `"values":[…]` array of a signal line.
-fn parse_values(line: &str) -> Result<Vec<u64>, String> {
-    let at = line
-        .find("\"values\":[")
-        .ok_or_else(|| "missing \"values\" array".to_string())?
-        + "\"values\":[".len();
-    let rest = &line[at..];
-    let end = rest
-        .find(']')
-        .ok_or_else(|| "unterminated \"values\" array".to_string())?;
-    let body = &rest[..end];
-    if body.is_empty() {
-        return Ok(Vec::new());
-    }
-    body.split(',')
-        .map(|tok| {
-            tok.parse::<u64>()
-                .map_err(|_| format!("bad array element {tok:?}"))
-        })
-        .collect()
 }
 
 /// Comparison direction of one SLO rule.
@@ -896,14 +897,19 @@ mod tests {
         let good = bus.to_jsonl();
         // A truncated signal line is a hard error, not a skip.
         let broken = good.replace("\"values\":[2]", "\"values\":[2");
+        assert_eq!(
+            TelemetryDump::from_jsonl(&broken).unwrap_err(),
+            "line 4, byte 25: expected ',' or ']', found '}'"
+        );
+        let broken = good.replace("\"values\":[2]}", "\"values\":[2");
         assert!(TelemetryDump::from_jsonl(&broken)
             .unwrap_err()
-            .contains("unterminated"));
+            .contains("unterminated array"));
         // A garbage element is a hard error.
         let broken = good.replace("\"values\":[2]", "\"values\":[x]");
         assert!(TelemetryDump::from_jsonl(&broken)
             .unwrap_err()
-            .contains("bad array element"));
+            .contains("line 4, byte 24: expected an unsigned integer as array element"));
         // Dropping a whole signal line breaks the declared count.
         let missing: String = good
             .lines()

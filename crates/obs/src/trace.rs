@@ -8,8 +8,7 @@
 //! [`TraceSink::to_jsonl`], led by a one-line `{"schema":…}` header that
 //! versions the encoding (see `crates/obs/SCHEMA.md`).
 
-use crate::event::{EventKind, TraceEvent};
-use crate::json;
+use crate::event::{EventKind, Header, TraceEvent};
 use simkit::time::SimTime;
 
 /// Baseline version of the JSONL trace encoding: the original event
@@ -147,13 +146,13 @@ impl TraceSink {
         }
         // Rough per-line budget keeps reallocation out of serialization.
         let mut out = String::with_capacity(self.events.len() * 96 + 64);
-        out.push('{');
-        let first = json::push_u64_field(&mut out, true, "schema", self.schema_version());
-        if let Some((name, cpus)) = self.machine {
-            let first = json::push_str_field(&mut out, first, "machine", name);
-            let _ = json::push_u64_field(&mut out, first, "cpus", u64::from(cpus));
+        Header {
+            schema: self.schema_version(),
+            machine: self.machine.map(|(name, _)| name),
+            cpus: self.machine.map(|(_, cpus)| cpus),
         }
-        out.push_str("}\n");
+        .write_jsonl(&mut out);
+        out.push('\n');
         for ev in &self.events {
             ev.write_jsonl(&mut out);
             out.push('\n');

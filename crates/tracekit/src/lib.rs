@@ -3,11 +3,10 @@
 //! Readers and analyzers for the `obs` JSONL trace schema (see
 //! `crates/obs/SCHEMA.md`), built for traces too large to hold in memory:
 //!
-//! * [`parse`] — zero-copy line parser with schema-version checking and
-//!   precise per-line errors.
 //! * [`reader`] — pull-based [`reader::TraceReader`] over any `BufRead`:
-//!   validates the `{"schema":1}` header, hard-errors on unknown
-//!   versions, recovers from corrupt lines (counted + sampled).
+//!   decodes each line with `obs::event::parse_line`, validates the
+//!   `{"schema":1}` header, hard-errors on unknown versions, recovers
+//!   from corrupt lines (counted + sampled).
 //! * [`lifecycle`] — [`lifecycle::Occupancy`], the shared submit → start
 //!   → finish/preempt state machine; memory proportional to *live* jobs,
 //!   never trace length.
@@ -33,7 +32,6 @@
 pub mod attribution;
 pub mod diff;
 pub mod lifecycle;
-pub mod parse;
 pub mod quantile;
 pub mod reader;
 pub mod summary;
@@ -42,7 +40,6 @@ pub mod timeline;
 pub use attribution::{AttributionReport, Attributor, JobWait, WaitCategory, CATEGORIES};
 pub use diff::{diff, JobDelta, OutcomeCollector, Outcomes, TraceDiff};
 pub use lifecycle::{Occupancy, Transition};
-pub use parse::{parse_line, Line, ParseError};
 pub use quantile::{Quantiles, P2};
 pub use reader::{open_path, read_all, ReadStats, TraceError, TraceMeta, TraceReader};
 pub use summary::{Summarizer, TraceSummary};
