@@ -246,7 +246,7 @@ pub fn run(args: &Args) -> Result<String, ArgError> {
             o.interstitial_completed().to_string()
         }),
         ("interstitial killed", &|o, _| {
-            o.interstitial_killed.to_string()
+            o.faults.ledger.preempt_kills().to_string()
         }),
         ("native throughput", &|o, _| {
             o.native_throughput_in_window().to_string()

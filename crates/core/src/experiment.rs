@@ -216,8 +216,6 @@ mod tests {
             completed,
             interstitial_started: jobs,
             native_submitted: 0,
-            interstitial_killed: 0,
-            wasted_cpu_seconds: 0.0,
             sim_end: SimTime::from_secs(horizon_s),
             fault_model: machine::FaultModel::none(),
             faults: machine::FaultStats::default(),

@@ -107,7 +107,7 @@ fn same_seed_reproduces_traces_and_retry_counts() {
         a.faults.interstitial_given_up,
         b.faults.interstitial_given_up
     );
-    assert!((a.faults.fault_wasted_cpu_seconds - b.faults.fault_wasted_cpu_seconds).abs() < 1e-9);
+    assert_eq!(a.faults.ledger, b.faults.ledger);
 }
 
 #[test]

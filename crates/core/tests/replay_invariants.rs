@@ -53,19 +53,6 @@ fn blue_pacific_full_replay_passes_invariants() {
 }
 
 #[test]
-fn relaxed_guard_replay_passes_with_slack() {
-    // The non-strict Figure 1 guard admits interstitial jobs ending up to
-    // one second past the head's reservation; the checker must accept that
-    // declared slack across a full replay.
-    let policy = InterstitialPolicy {
-        strict_backfill_guard: false,
-        ..Default::default()
-    };
-    let out = checked_replay(ross(), 14, policy);
-    assert!(out.interstitial_completed() > 0);
-}
-
-#[test]
 fn preempting_replay_passes_conservation() {
     // Preemption deliberately relaxes the no-delay guard (the checker skips
     // it), but CPU conservation must hold through every kill/checkpoint

@@ -180,8 +180,9 @@ fn kill_preemption_storm_terminates_and_conserves() {
         .build()
         .run();
     assert_eq!(out.native_completed(), 100);
-    assert!(out.interstitial_killed > 50, "{}", out.interstitial_killed);
-    assert!(out.wasted_cpu_seconds > 0.0);
+    let kills = out.faults.ledger.preempt_kills();
+    assert!(kills > 50, "{kills}");
+    assert!(out.faults.ledger.preempt_wasted() > 0);
     // Natives were never delayed: preemption reclaims instantly.
     for c in out.natives() {
         assert_eq!(c.wait(), SimDuration::ZERO, "job {} waited", c.job.id);
@@ -216,5 +217,5 @@ fn checkpoint_storm_conserves_work_exactly() {
         assert!(c.finish - c.start >= c.job.runtime);
         assert_eq!(c.job.runtime, SimDuration::from_secs(20_000));
     }
-    assert_eq!(out.interstitial_killed, 0);
+    assert_eq!(out.faults.ledger.preempt_kills(), 0);
 }
