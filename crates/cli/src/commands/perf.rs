@@ -564,6 +564,11 @@ mod tests {
             let err = run(&args(&["perf", "hotspots", lean.to_str().unwrap()])).unwrap_err();
             assert!(err.0.contains(want), "{}", err.0);
         }
+        // A dump cut at a line boundary, one top record short, fails too.
+        let cut = &text[..text.trim_end().rfind('\n').unwrap() + 1];
+        std::fs::write(&lean, cut).unwrap();
+        let err = run(&args(&["perf", "hotspots", lean.to_str().unwrap()])).unwrap_err();
+        assert!(err.0.contains("truncated recorder dump"), "{}", err.0);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -708,7 +708,7 @@ fn parse_fraction_permille(s: &str) -> Option<u64> {
         let padded: u64 = frac_part.parse().ok()?;
         padded * 10u64.pow(3 - frac_part.len() as u32)
     };
-    let permille = int * 1000 + frac;
+    let permille = int.checked_mul(1000)?.checked_add(frac)?;
     (permille <= 1000).then_some(permille)
 }
 

@@ -252,6 +252,30 @@ fn structural_corruption_is_always_an_error() {
 }
 
 #[test]
+fn recorder_dump_cut_at_a_line_boundary_is_an_error() {
+    // The header declares how many cycle and top records follow, so a cut
+    // between lines that loses any of them must fail; only the trailing
+    // phase lines carry no declared count.
+    let text = recorder_text();
+    let records = text
+        .lines()
+        .filter(|l| l.contains("\"kind\":\"cycle\"") || l.contains("\"kind\":\"top\""))
+        .count();
+    assert_eq!(records, 4 + 2, "a full ring and a full top-K ledger");
+    let mut cut_off = 0;
+    for (i, _) in text.match_indices('\n') {
+        let (kept, lost) = text.split_at(i + 1);
+        if lost.contains("\"kind\":\"cycle\"") || lost.contains("\"kind\":\"top\"") {
+            let read = RecorderDump::from_jsonl(kept);
+            let err = read.expect_err(&format!("cut after byte {i} accepted"));
+            assert!(err.starts_with("truncated recorder dump"), "{err}");
+            cut_off += 1;
+        }
+    }
+    assert_eq!(cut_off, records, "one cut before each record");
+}
+
+#[test]
 fn whitespace_between_tokens_parses_to_the_original() {
     for (name, text, parse) in formats() {
         let original = parse(&text).unwrap();
