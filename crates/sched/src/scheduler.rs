@@ -326,7 +326,6 @@ impl Scheduler {
     /// without touching counters or the queue contents. Used by
     /// [`crate::invariants`] to verify interstitial placement did not move
     /// the head native job's projected start.
-    #[cfg(feature = "check-invariants")]
     pub fn probe_head_reservation(
         &mut self,
         now: SimTime,
