@@ -11,6 +11,7 @@
 
 use interstitial_computing::interstitial::prelude::*;
 use interstitial_computing::machine::{self, FaultModel, FaultSpec, MachineConfig};
+use interstitial_computing::obs::recorder::CycleRecord;
 use interstitial_computing::obs::{CycleRecorder, Obs};
 use interstitial_computing::simkit::time::{SimDuration, SimTime};
 use interstitial_computing::workload::traces::native_trace;
@@ -19,13 +20,17 @@ const SEED: u64 = 7;
 const JOBS: usize = 150;
 
 fn recorded_run(cfg: &MachineConfig, faulted: bool) -> SimOutput {
+    let mut obs = Obs::counting();
+    obs.recorder = CycleRecorder::enabled();
+    observed_run(cfg, faulted, obs)
+}
+
+fn observed_run(cfg: &MachineConfig, faulted: bool, obs: Obs) -> SimOutput {
     let mut natives = native_trace(cfg, SEED);
     natives.truncate(JOBS);
     let horizon =
         SimTime::from_secs(natives.iter().map(|j| j.submit.as_secs()).max().unwrap() + 86_400);
     let project = InterstitialProject::per_paper(u64::MAX / 2, (cfg.cpus / 8).max(1), 3_600.0);
-    let mut obs = Obs::counting();
-    obs.recorder = CycleRecorder::enabled();
     let mut b = SimBuilder::new(cfg.clone())
         .natives(natives)
         .horizon(horizon)
@@ -132,6 +137,71 @@ fn recording_does_not_change_the_work_counters() {
         assert_eq!(
             with.obs.work, without.obs.work,
             "faulted={faulted}: recorder perturbed the work counters"
+        );
+    }
+}
+
+#[test]
+fn ring_deltas_sum_to_the_run_totals_on_every_preset() {
+    // A ring large enough to keep every pass holds the whole run, so its
+    // per-pass deltas must add back up to the run's work counters.
+    for (name, cfg) in presets() {
+        for faulted in [false, true] {
+            let mut obs = Obs::counting();
+            obs.recorder = CycleRecorder::with_limits(1 << 20, 1);
+            let out = observed_run(&cfg, faulted, obs);
+            let rec = &out.obs.recorder;
+            assert_eq!(rec.dropped(), 0, "{name} (faulted={faulted})");
+            assert_eq!(rec.ring().count() as u64, rec.cycles_seen());
+            let sum = |f: fn(&CycleRecord) -> u64| rec.ring().map(f).sum::<u64>();
+            let w = &out.obs.work;
+            assert!(w.events_popped > 0, "{name} (faulted={faulted})");
+            assert_eq!(
+                sum(|r| r.events),
+                w.events_popped,
+                "{name} (faulted={faulted}): events"
+            );
+            assert_eq!(
+                sum(|r| r.starts),
+                w.inorder_starts + w.backfill_starts,
+                "{name} (faulted={faulted}): starts"
+            );
+            assert_eq!(
+                sum(|r| r.candidates),
+                w.backfill_candidates_scanned,
+                "{name} (faulted={faulted}): candidates"
+            );
+            assert_eq!(
+                sum(|r| r.segments),
+                w.profile_segments_walked,
+                "{name} (faulted={faulted}): segments"
+            );
+        }
+    }
+}
+
+#[test]
+fn profiled_replays_time_only_the_five_nested_phases() {
+    const PHASES: [&str; 5] = [
+        "event-pump",
+        "schedule-cycle",
+        "order-queue",
+        "free-profile",
+        "backfill",
+    ];
+    for (name, cfg) in presets() {
+        let out = observed_run(&cfg, false, Obs::enabled());
+        let snap = out.obs.profiler.snapshot();
+        assert!(!snap.phases.is_empty(), "{name}: no phase was timed");
+        for phase in snap.phases.keys() {
+            assert!(PHASES.contains(phase), "{name}: unknown phase {phase:?}");
+        }
+        let ns = |phase: &str| snap.phases.get(phase).map_or(0, |s| s.total_ns);
+        let children = ns("order-queue") + ns("free-profile") + ns("backfill");
+        assert!(
+            ns("schedule-cycle") >= children,
+            "{name}: schedule-cycle {} ns is shorter than its children's {children} ns",
+            ns("schedule-cycle")
         );
     }
 }
