@@ -104,6 +104,11 @@ const MAX_DEPTH: u32 = 8;
 
 /// A pull reader over one JSON text, handed to the callback of
 /// [`read_object`]: the callback pulls each value in the type it expects.
+///
+/// Whitespace is skipped once, at each token boundary, by the readers of
+/// the structure ([`read_object`], [`Reader::object`], the array reader and
+/// [`Reader::value`]); a callback is handed the reader positioned on its
+/// value's first byte, so the scalar readers do not skip again.
 pub struct Reader<'a> {
     text: &'a str,
     pos: usize,
@@ -125,6 +130,7 @@ pub fn read_object<'a>(
         first_line,
         depth: 0,
     };
+    r.skip_ws();
     r.object(field)?;
     r.skip_ws();
     if r.pos != text.len() {
@@ -174,7 +180,6 @@ impl<'a> Reader<'a> {
         &mut self,
         mut field: impl FnMut(&mut Self, &'a str) -> Result<(), Error>,
     ) -> Result<(), Error> {
-        self.skip_ws();
         if self.peek() != Some(b'{') {
             return Err(self.unexpected("'{'", "input"));
         }
@@ -194,10 +199,14 @@ impl<'a> Reader<'a> {
                     return Err(self.unexpected("':'", "object"));
                 }
                 self.pos += 1;
+                self.skip_ws();
                 field(self, key)?;
                 self.skip_ws();
                 match self.peek() {
-                    Some(b',') => self.pos += 1,
+                    Some(b',') => {
+                        self.pos += 1;
+                        self.skip_ws();
+                    }
                     Some(b'}') => {
                         self.pos += 1;
                         break;
@@ -213,7 +222,6 @@ impl<'a> Reader<'a> {
     /// Read a string. Escapes are an error: no writer emits one, since
     /// every string the artifacts carry is a fixed identifier.
     pub fn string(&mut self) -> Result<&'a str, Error> {
-        self.skip_ws();
         if self.peek() != Some(b'"') {
             return Err(self.unexpected("a string", "input"));
         }
@@ -246,7 +254,6 @@ impl<'a> Reader<'a> {
 
     /// Read an unsigned integer.
     pub fn u64(&mut self) -> Result<u64, Error> {
-        self.skip_ws();
         let rest = &self.text.as_bytes()[self.pos..];
         let digits = rest.iter().take_while(|b| b.is_ascii_digit()).count();
         if digits == 0 {
@@ -274,7 +281,6 @@ impl<'a> Reader<'a> {
     }
 
     fn array(&mut self, mut push: impl FnMut(u64)) -> Result<(), Error> {
-        self.skip_ws();
         if self.peek() != Some(b'[') {
             return Err(self.unexpected("'['", "input"));
         }
@@ -285,14 +291,16 @@ impl<'a> Reader<'a> {
             return Ok(());
         }
         loop {
-            self.skip_ws();
             if !matches!(self.peek(), Some(b'0'..=b'9')) {
                 return Err(self.unexpected("an unsigned integer as array element", "array"));
             }
             push(self.u64()?);
             self.skip_ws();
             match self.peek() {
-                Some(b',') => self.pos += 1,
+                Some(b',') => {
+                    self.pos += 1;
+                    self.skip_ws();
+                }
                 Some(b']') => {
                     self.pos += 1;
                     return Ok(());
@@ -305,7 +313,6 @@ impl<'a> Reader<'a> {
     /// Read a value of any supported type: a scalar is returned, an array
     /// or object is checked and passed over (`None`).
     pub fn value(&mut self) -> Result<Option<Scalar<'a>>, Error> {
-        self.skip_ws();
         match self.peek() {
             Some(b'"') => Ok(Some(Scalar::Str(self.string()?))),
             Some(b'[') => self.array(|_| {}).map(|()| None),
