@@ -70,7 +70,6 @@ mod tests {
     fn record_keeps_the_counts_of_a_deterministic_replay() {
         let s = record(|| tiny_run(20));
         assert_eq!(s.jobs, 20);
-        assert!(s.work.is_enabled());
         assert!(s.work.sched_cycles > 0);
         assert!(s.work.events_popped > 0);
         // mem rides along exactly when the counting allocator is built in.

@@ -18,6 +18,7 @@
 
 use crate::args::{ArgError, Args};
 use obs::perf::{compare, PerfBaseline};
+use obs::profile::Phase;
 use obs::recorder::RecorderDump;
 use tracekit::P2;
 
@@ -155,28 +156,20 @@ fn run_show(args: &Args) -> Result<String, ArgError> {
     Ok(out)
 }
 
-/// The spans the scheduler records inside `schedule-cycle`; every other
-/// span is top-level.
-const CYCLE_CHILDREN: [&str; 3] = ["order-queue", "free-profile", "backfill"];
-
-/// Each phase's self time: `schedule-cycle` minus the child spans nested in
-/// it, every other phase as recorded. The rows then sum to the top-level
-/// spans' total, so no nanosecond is counted twice.
+/// Each phase's self time: its total minus the phases nested in it (by
+/// [`Phase::parent`]). The rows then sum to the top-level phases' total, so
+/// no nanosecond is counted twice.
 fn phase_self_times(phases: &[(String, u64, u64)]) -> Vec<(&str, u64, u64)> {
-    let children: u64 = phases
-        .iter()
-        .filter(|(name, _, _)| CYCLE_CHILDREN.contains(&name.as_str()))
-        .map(|(_, _, ns)| *ns)
-        .sum();
+    let parent = |name: &str| Phase::from_name(name).and_then(Phase::parent);
     phases
         .iter()
         .map(|(name, calls, ns)| {
-            let own = if name == "schedule-cycle" {
-                ns.saturating_sub(children)
-            } else {
-                *ns
-            };
-            (name.as_str(), *calls, own)
+            let children: u64 = phases
+                .iter()
+                .filter(|(child, _, _)| parent(child).is_some_and(|p| p.name() == name))
+                .map(|(_, _, ns)| *ns)
+                .sum();
+            (name.as_str(), *calls, ns.saturating_sub(children))
         })
         .collect()
 }
@@ -303,9 +296,17 @@ mod tests {
     use std::collections::BTreeMap;
 
     fn baseline(candidates: u64) -> PerfBaseline {
-        let mut work = WorkCounters::enabled();
-        work.record_engine(500, 600, 12);
-        work.record_sched(40, 20, 10, candidates, 200);
+        let work = WorkCounters {
+            events_popped: 500,
+            events_scheduled: 600,
+            heap_peak_depth: 12,
+            sched_cycles: 40,
+            inorder_starts: 20,
+            backfill_starts: 10,
+            backfill_candidates_scanned: candidates,
+            profile_segments_walked: 200,
+            ..WorkCounters::default()
+        };
         let mut scenarios = BTreeMap::new();
         scenarios.insert(
             "fault_free".to_string(),
@@ -459,15 +460,16 @@ mod tests {
         let mut text = String::from(
             "{\"recorder_schema\":1,\"capacity\":4,\"top_k\":2,\"cycles_seen\":0,\"dropped\":0}\n",
         );
-        for (name, ms) in [
-            ("backfill", 200u64),
-            ("event-pump", 200),
-            ("free-profile", 100),
-            ("order-queue", 300),
-            ("schedule-cycle", 800),
+        for (phase, ms) in [
+            (Phase::Backfill, 200u64),
+            (Phase::EventPump, 200),
+            (Phase::FreeProfile, 100),
+            (Phase::OrderQueue, 300),
+            (Phase::ScheduleCycle, 800),
         ] {
             text.push_str(&format!(
-                "{{\"kind\":\"phase\",\"name\":\"{name}\",\"calls\":10,\"total_ns\":{}}}\n",
+                "{{\"kind\":\"phase\",\"name\":\"{}\",\"calls\":10,\"total_ns\":{}}}\n",
+                phase.name(),
                 ms * 1_000_000
             ));
         }
@@ -495,34 +497,31 @@ mod tests {
 
     #[test]
     fn hotspots_attributes_cost_from_a_recorder_dump() {
-        use obs::recorder::{CycleRecorder, CycleTotals, PhaseNanos};
+        use obs::recorder::CycleRecorder;
 
         let dir = std::env::temp_dir().join("interstitial-perf-hotspots-test");
         std::fs::create_dir_all(&dir).unwrap();
         let mut rec = CycleRecorder::with_limits(64, 8);
-        let mut totals = CycleTotals::default();
-        let mut ns = PhaseNanos::default();
+        let mut work = WorkCounters::default();
+        let mut profile = obs::PhaseProfiler::enabled();
         for i in 0..100u64 {
             let t = rec.begin();
-            totals.events += 1 + i % 3;
-            totals.candidates += (i * 7) % 23;
-            totals.segments += (i * 5) % 11;
-            totals.starts += i % 2;
-            ns.pump += 1000;
-            ns.order += 4000;
-            ns.profile += 500;
-            ns.backfill += 1500;
+            work.events_popped += 1 + i % 3;
+            work.backfill_candidates_scanned += (i * 7) % 23;
+            work.profile_segments_walked += (i * 5) % 11;
+            work.inorder_starts += i % 2;
+            for phase in Phase::ALL {
+                let span = profile.begin();
+                profile.end(phase, span);
+            }
             rec.end_cycle(
                 t,
                 simkit::time::SimTime::from_secs(i * 300),
                 i % 40,
-                totals,
-                ns,
+                &work,
+                &profile,
             );
         }
-        let mut profile = obs::PhaseProfiler::enabled();
-        let span = profile.begin();
-        profile.end("order-queue", span);
         let path = dir.join("cycles.jsonl");
         std::fs::write(&path, rec.to_jsonl(&profile.snapshot())).unwrap();
 
@@ -536,7 +535,9 @@ mod tests {
         .unwrap();
         assert!(out.contains("100 cycles recorded"), "{out}");
         assert!(out.contains("phase breakdown"), "{out}");
-        assert!(out.contains("order-queue"), "{out}");
+        for phase in Phase::ALL {
+            assert!(out.contains(phase.name()), "{out}");
+        }
         assert!(out.contains('#'), "flame bars rendered: {out}");
         assert!(out.contains("P50"), "{out}");
         assert!(out.contains("P99"), "{out}");

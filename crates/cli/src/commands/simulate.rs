@@ -721,7 +721,9 @@ mod tests {
         assert!(!dump.ring.is_empty());
         assert!(!dump.top.is_empty());
         assert!(
-            dump.phases.iter().any(|(name, _, _)| name == "event-pump"),
+            dump.phases
+                .iter()
+                .any(|(name, _, _)| name == obs::profile::Phase::EventPump.name()),
             "phase totals ride along: {:?}",
             dump.phases
         );

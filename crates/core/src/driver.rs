@@ -30,8 +30,8 @@ use machine::fault::Eviction;
 use machine::{
     CpuPool, FaultModel, FaultStats, MachineConfig, OutageSchedule, RunningJob, RunningSet,
 };
-use obs::recorder::CycleTotals;
-use obs::{EventKind, Obs, SloSpec, SloWatchdog, StartKind};
+use obs::profile::Phase as Span;
+use obs::{EventKind, Obs, SloSpec, SloWatchdog, StartKind, WorkCounters};
 use sched::Scheduler;
 use simkit::event::EventQueue;
 use simkit::time::{SimDuration, SimTime};
@@ -414,9 +414,9 @@ struct RunState {
     /// `native_wait_p99_s` signal. Observed at native finishes only when
     /// the bus is enabled, so the default path stays untouched.
     native_wait_p99: obs::P2,
-    /// Cumulative work totals at the previous telemetry tick, for the
-    /// per-tick delta signals.
-    telemetry_prev: CycleTotals,
+    /// The work counters at the previous telemetry tick, for the per-tick
+    /// delta signals.
+    telemetry_prev: WorkCounters,
     /// Online SLO evaluator fed at each telemetry tick.
     watchdog: SloWatchdog,
 }
@@ -462,7 +462,7 @@ impl Simulator {
                 )
             }),
             native_wait_p99: obs::P2::new(0.99),
-            telemetry_prev: CycleTotals::default(),
+            telemetry_prev: WorkCounters::default(),
             // Every --slo metric resolves against DRIVER_SIGNALS (pinned by
             // an obs test), so construction cannot fail here; a rule naming
             // an unsampled signal degrades to no watchdog rather than a
@@ -523,7 +523,7 @@ impl Simulator {
             // Flush any cadence ticks due before this event: samples record
             // the left-limit state at their instant, keeping trace time
             // monotone when the watchdog stamps breach events at tick times.
-            self.flush_telemetry(now, &mut st, steps);
+            self.flush_telemetry(now, &mut st, &q, steps);
             let rec = self.obs.recorder.begin();
             let pump = self.obs.profiler.begin();
             self.handle(now, ev, &mut st, &mut q);
@@ -534,21 +534,17 @@ impl Simulator {
                 self.handle(now, ev, &mut st, &mut q);
                 steps += 1;
             }
-            self.obs.profiler.end("event-pump", pump);
+            self.obs.profiler.end(Span::EventPump, pump);
             assert!(steps < MAX_EVENTS, "event storm: {steps} events");
             self.cycle(now, &mut st, &mut q);
             if rec.is_some() {
-                // Flight-record the pass: the recorder diffs these cumulative
-                // totals against the previous pass itself.
-                let totals = self.cycle_totals(steps);
-                let ns = obs::recorder::PhaseNanos {
-                    pump: self.obs.profiler.total_ns("event-pump"),
-                    order: self.obs.profiler.total_ns("order-queue"),
-                    profile: self.obs.profiler.total_ns("free-profile"),
-                    backfill: self.obs.profiler.total_ns("backfill"),
-                };
+                // Flight-record the pass: the recorder diffs the counters and
+                // the profiler's totals against the previous pass itself.
+                let work = self.work_counters(steps, &q, &st);
                 let depth = self.scheduler.queue_len() as u64;
-                self.obs.recorder.end_cycle(rec, now, depth, totals, ns);
+                self.obs
+                    .recorder
+                    .end_cycle(rec, now, depth, &work, &self.obs.profiler);
             }
         }
 
@@ -577,39 +573,12 @@ impl Simulator {
             "engine.end_time_s",
             i64::try_from(q.now().as_secs()).unwrap_or(i64::MAX),
         );
-        // Fold the always-on raw counts (event pump, queue high-water mark,
-        // scheduler scan work, fault churn) into the deterministic work
-        // counters. One-shot at end of run: the hot loop pays only the
-        // trivial integer adds the sources already perform.
-        self.obs
-            .work
-            .record_engine(steps, q.scheduled_total(), q.peak_len() as u64);
-        let sc = self.scheduler.counters();
-        self.obs.work.record_sched(
-            sc.cycles,
-            sc.inorder_starts,
-            sc.backfill_starts,
-            sc.backfill_candidates_scanned,
-            sc.profile_segments_walked,
-        );
+        let work = self.work_counters(steps, &q, &st);
         // Only a run that scheduled leaves a cycle counter.
-        if sc.cycles > 0 {
-            self.obs.metrics.inc("sched.cycles", sc.cycles);
+        if work.sched_cycles > 0 {
+            self.obs.metrics.inc("sched.cycles", work.sched_cycles);
         }
-        self.obs
-            .work
-            .record_churn(st.faults.native_requeues, st.faults.interstitial_retries);
-        // Recovery counters stay untouched under kill-restart so frozen
-        // perf baselines keep comparing field-for-field (missing keys in
-        // old files parse as zero).
-        if self.recovery != RecoveryPolicy::KillRestart {
-            let ledger = &st.faults.ledger;
-            self.obs.work.record_recovery(
-                ledger.checkpoints_taken(),
-                ledger.salvaged(),
-                ledger.reexecuted(),
-            );
-        }
+        self.obs.work = work;
         self.obs.mem = obs::alloc::since(&mem_mark);
         SimOutput {
             machine: self.machine.clone(),
@@ -910,14 +879,14 @@ impl Simulator {
             }
             self.check_conservation(now, st);
         }
-        self.obs.profiler.end("schedule-cycle", span);
+        self.obs.profiler.end(Span::ScheduleCycle, span);
     }
 
     /// Record every telemetry tick due at or before `now`, sampling the
     /// current (left-limit) state, then feed the sampled values to the SLO
     /// watchdog. One predictable branch when the bus is disabled or no
     /// tick is due — the default path stays zero-cost.
-    fn flush_telemetry(&mut self, now: SimTime, st: &mut RunState, steps: u64) {
+    fn flush_telemetry(&mut self, now: SimTime, st: &mut RunState, q: &EventQueue<Ev>, steps: u64) {
         while let Some(t) = self.obs.telemetry.pending_tick(now) {
             let native = st.running.native_cpus_in_use();
             let busy = st.running.cpus_in_use();
@@ -932,8 +901,8 @@ impl Simulator {
                 Some(x) if x > 0.0 => x as u64,
                 _ => 0,
             };
-            let totals = self.cycle_totals(steps);
-            let prev = std::mem::replace(&mut st.telemetry_prev, totals);
+            let work = self.work_counters(steps, q, st);
+            let prev = std::mem::replace(&mut st.telemetry_prev, work);
             let tick = SimTime::from_secs(t);
             let values = [
                 u64::from(native),
@@ -946,10 +915,10 @@ impl Simulator {
                 frag_permille(&st.running, tick, free),
                 st.running.len() as u64,
                 p99,
-                totals.events - prev.events,
-                totals.starts - prev.starts,
-                totals.candidates - prev.candidates,
-                totals.segments - prev.segments,
+                work.events_popped - prev.events_popped,
+                work.starts() - prev.starts(),
+                work.backfill_candidates_scanned - prev.backfill_candidates_scanned,
+                work.profile_segments_walked - prev.profile_segments_walked,
             ];
             self.obs.telemetry.record_tick(t, &values);
             for tr in st.watchdog.evaluate(&values) {
@@ -974,16 +943,36 @@ impl Simulator {
         }
     }
 
-    /// Cumulative work totals after `steps` events: the sums the flight
-    /// recorder and the telemetry delta signals both diff.
-    fn cycle_totals(&self, steps: u64) -> CycleTotals {
+    /// The run's work counters after `steps` events, read from the sources
+    /// that count in every run: the event queue, the scheduler, the fault
+    /// churn counts and the ledger. The flight recorder, the telemetry
+    /// delta signals and the end-of-run report all read this one snapshot.
+    fn work_counters(&self, steps: u64, q: &EventQueue<Ev>, st: &RunState) -> WorkCounters {
         let sc = self.scheduler.counters();
-        CycleTotals {
-            events: steps,
-            starts: sc.inorder_starts + sc.backfill_starts,
-            candidates: sc.backfill_candidates_scanned,
-            segments: sc.profile_segments_walked,
+        let mut work = WorkCounters {
+            events_popped: steps,
+            events_scheduled: q.scheduled_total(),
+            heap_peak_depth: q.peak_len() as u64,
+            sched_cycles: sc.cycles,
+            inorder_starts: sc.inorder_starts,
+            backfill_starts: sc.backfill_starts,
+            backfill_candidates_scanned: sc.backfill_candidates_scanned,
+            profile_segments_walked: sc.profile_segments_walked,
+            requeues: st.faults.native_requeues,
+            retries: st.faults.interstitial_retries,
+            ..WorkCounters::default()
+        };
+        // Under kill-restart the recovery counters stay zero even though a
+        // checkpoint-mode preemption still salvages work into the ledger:
+        // the frozen perf baselines and the pinned run reports of
+        // kill-restart replays hold those zeros.
+        if self.recovery != RecoveryPolicy::KillRestart {
+            let ledger = &st.faults.ledger;
+            work.checkpoints_taken = ledger.checkpoints_taken();
+            work.cpu_s_salvaged = ledger.salvaged();
+            work.cpu_s_reexecuted = ledger.reexecuted();
         }
+        work
     }
 
     /// CPU-conservation and degraded-capacity invariants (no-ops without
@@ -2006,7 +1995,6 @@ mod tests {
         assert!(out.native_completed() > 0 && out.interstitial_completed() > 0);
         assert_eq!(out.obs.trace.recorded(), 0);
         assert_eq!(out.obs.trace.heap_allocations(), 0);
-        assert!(!out.obs.is_active());
         assert!(out.obs.run_report().metrics.counters.is_empty());
     }
 
@@ -2107,7 +2095,6 @@ mod tests {
         };
         let out = run();
         let w = out.obs.work;
-        assert!(w.is_enabled());
         assert!(w.events_popped > 0);
         assert!(
             w.events_scheduled >= w.events_popped,
@@ -2117,7 +2104,7 @@ mod tests {
         assert!(w.sched_cycles > 0);
         // The scheduler counters cover native starts only; interstitial
         // placement happens outside the queue planner.
-        assert_eq!(w.inorder_starts + w.backfill_starts, 3);
+        assert_eq!(w.starts(), 3);
         assert!(w.backfill_candidates_scanned >= w.sched_cycles.min(3));
         assert!(w.profile_segments_walked > 0);
         assert_eq!(w.requeues, 0, "fault-free run has no churn");

@@ -6,8 +6,7 @@
 //! count algorithmic scans. This module adds the missing axis — a counting
 //! [`core::alloc::GlobalAlloc`] wrapper around `std::alloc::System` that
 //! tallies allocation/deallocation calls, bytes, and the peak live-byte
-//! high-water mark, exposed per run (and, via
-//! [`crate::profile::PhaseProfiler`], per phase).
+//! high-water mark, exposed per run.
 //!
 //! Three deliberate properties:
 //!
@@ -276,27 +275,6 @@ pub fn since(m: &AllocMark) -> AllocCounters {
     }
 }
 
-/// Cumulative allocation calls so far (0 without `alloc-count`). Cheap
-/// enough for per-span sampling by the phase profiler.
-pub fn allocations_now() -> u64 {
-    #[cfg(feature = "alloc-count")]
-    {
-        counting::ALLOCATIONS.load(std::sync::atomic::Ordering::Relaxed)
-    }
-    #[cfg(not(feature = "alloc-count"))]
-    0
-}
-
-/// Cumulative bytes allocated so far (0 without `alloc-count`).
-pub fn bytes_allocated_now() -> u64 {
-    #[cfg(feature = "alloc-count")]
-    {
-        counting::BYTES_ALLOCATED.load(std::sync::atomic::Ordering::Relaxed)
-    }
-    #[cfg(not(feature = "alloc-count"))]
-    0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,8 +337,6 @@ mod tests {
             assert!(w.peak_live_bytes >= 4096 * 8, "{w:?}");
         } else {
             assert_eq!(w, AllocCounters::disabled());
-            assert_eq!(allocations_now(), 0);
-            assert_eq!(bytes_allocated_now(), 0);
         }
         drop(v);
     }

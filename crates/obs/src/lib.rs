@@ -2,8 +2,8 @@
 //!
 //! The paper's claims are all *measurements* (utilization interstices,
 //! wait-time deltas, makespan distributions), so the simulation stack needs
-//! a measurement substrate of its own. This crate provides six
-//! independent, individually switchable instruments, bundled in [`Obs`]:
+//! a measurement substrate of its own. [`Obs`] bundles five switchable
+//! instruments and two always-kept tallies:
 //!
 //! * [`trace::TraceSink`] — a structured event log: every job submit /
 //!   start / finish / preemption / outage event, tagged with sim-time and
@@ -15,26 +15,31 @@
 //!   fixed order (simlint R1) and the emitted JSON is byte-stable across
 //!   runs — the property the golden-trace regression suite anchors on.
 //! * [`profile::PhaseProfiler`] — wall-clock spans for the simulator's hot
-//!   phases (schedule-cycle, backfill, free-profile, event-pump). The only
-//!   place outside the bench harness allowed to read the wall clock
-//!   (audited simlint R2 exception): span durations are reported, never fed
-//!   back into simulation behaviour.
-//! * [`work::WorkCounters`] — deterministic integer tallies of the work a
-//!   run did (events, cycles, candidates scanned, …), folded in at end of
-//!   run.
-//! * [`recorder::CycleRecorder`] — a bounded per-cycle flight recorder.
+//!   phases, one table slot per [`profile::Phase`] (event-pump,
+//!   schedule-cycle and the order-queue, free-profile and backfill phases
+//!   nested in it). The only place outside the bench harness allowed to
+//!   read the wall clock (audited simlint R2 exception): span durations are
+//!   reported, never fed back into simulation behaviour.
+//! * [`recorder::CycleRecorder`] — a bounded per-cycle flight recorder: it
+//!   diffs the driver's [`work::WorkCounters`] snapshot and the profiler's
+//!   per-phase totals from one pass to the next.
 //! * [`telemetry::TelemetryBus`] — fixed-cadence in-sim time series with
-//!   time-axis annotations.
+//!   time-axis annotations; its work signals are deltas of the same
+//!   snapshot.
 //!
-//! The bundle also carries the run's allocator tallies
-//! ([`alloc::AllocCounters`]). [`Obs::record`] is the one entry point for
-//! simulation events: it feeds the trace, the metrics counters and the
-//! telemetry annotations from the same [`EventKind`].
+//! The two tallies are [`work::WorkCounters`] — deterministic integer
+//! counts of the work a run did (events, cycles, candidates scanned, …),
+//! which the sources keep in every run and the driver snapshots — and the
+//! run's allocator tallies ([`alloc::AllocCounters`]). [`Obs::record`] is
+//! the one entry point for simulation events: it feeds the trace, the
+//! metrics counters and the telemetry annotations from the same
+//! [`EventKind`].
 //!
 //! [`report::RunReport`] snapshots the metrics, profile, work counters and
-//! allocator tallies into one machine-readable JSON document per run. The golden suite compares only the deterministic
-//! sections (trace + metrics); wall-clock phase timings are excluded from
-//! golden comparisons by construction ([`report::RunReport::to_json_deterministic`]).
+//! allocator tallies into one machine-readable JSON document per run. The
+//! golden suite compares only the deterministic sections (trace + metrics);
+//! wall-clock phase timings are excluded from golden comparisons by
+//! construction ([`report::RunReport::to_json_deterministic`]).
 
 #![warn(missing_docs)]
 
@@ -79,7 +84,8 @@ pub struct Obs {
     pub metrics: MetricsRegistry,
     /// Wall-clock phase spans.
     pub profiler: PhaseProfiler,
-    /// Deterministic work counters (never written to the trace stream).
+    /// Deterministic work counters, filled in by the driver at end of run
+    /// (never written to the trace stream).
     pub work: WorkCounters,
     /// Per-cycle flight recorder. Opt-in only (`--record-cycles`): not
     /// switched on by [`Obs::enabled`], since a bounded ring per run is
@@ -101,64 +107,23 @@ impl Obs {
         Obs::default()
     }
 
-    /// Everything on except the flight recorder: tracing, metrics, phase
-    /// profiling and work counters. Cycle recording stays opt-in via the
-    /// [`Obs::recorder`] field.
+    /// Tracing, metrics and phase profiling on. Cycle recording and
+    /// telemetry stay opt-in via the [`Obs::recorder`] and
+    /// [`Obs::telemetry`] fields.
     pub fn enabled() -> Self {
         Obs {
             trace: TraceSink::enabled(),
             metrics: MetricsRegistry::enabled(),
             profiler: PhaseProfiler::enabled(),
-            work: WorkCounters::enabled(),
             ..Obs::disabled()
         }
     }
 
-    /// Selectively enable instruments. Work counters follow `metrics`: they
-    /// are counter-like data and share its cost profile (integer adds).
-    pub fn with(trace: bool, metrics: bool, profile: bool) -> Self {
-        Obs {
-            trace: if trace {
-                TraceSink::enabled()
-            } else {
-                TraceSink::disabled()
-            },
-            metrics: if metrics {
-                MetricsRegistry::enabled()
-            } else {
-                MetricsRegistry::disabled()
-            },
-            profiler: if profile {
-                PhaseProfiler::enabled()
-            } else {
-                PhaseProfiler::disabled()
-            },
-            work: if metrics {
-                WorkCounters::enabled()
-            } else {
-                WorkCounters::disabled()
-            },
-            ..Obs::disabled()
-        }
-    }
-
-    /// Work counters only: what the bench harness runs with, so timed
-    /// replays pay for integer adds but no tracing or metrics maps.
+    /// The same bundle as [`Obs::disabled`], named for callers that only
+    /// want the work counters: those are kept in every run, so counting
+    /// needs no instrument switched on.
     pub fn counting() -> Self {
-        Obs {
-            work: WorkCounters::enabled(),
-            ..Obs::disabled()
-        }
-    }
-
-    /// True when at least one instrument is collecting.
-    pub fn is_active(&self) -> bool {
-        self.trace.is_enabled()
-            || self.metrics.is_enabled()
-            || self.profiler.is_enabled()
-            || self.work.is_enabled()
-            || self.recorder.is_enabled()
-            || self.telemetry.is_enabled()
+        Obs::disabled()
     }
 
     /// Record one event in every instrument that derives from events: the
@@ -254,7 +219,6 @@ mod tests {
     #[test]
     fn disabled_bundle_is_inert() {
         let mut o = Obs::disabled();
-        assert!(!o.is_active());
         o.metrics.inc("x", 1);
         o.trace
             .record(simkit::time::SimTime::ZERO, EventKind::Outage { up: true });
@@ -264,29 +228,13 @@ mod tests {
     }
 
     #[test]
-    fn selective_enablement() {
-        let o = Obs::with(true, false, false);
-        assert!(o.trace.is_enabled());
-        assert!(!o.metrics.is_enabled());
-        assert!(!o.profiler.is_enabled());
-        assert!(
-            !o.work.is_enabled(),
-            "work counters follow the metrics switch"
-        );
-        assert!(o.is_active());
-        let o = Obs::with(false, true, false);
-        assert!(o.work.is_enabled());
-    }
-
-    #[test]
-    fn counting_bundle_collects_only_work() {
-        let mut o = Obs::counting();
-        assert!(o.is_active());
+    fn counting_bundle_switches_no_instrument_on() {
+        let o = Obs::counting();
         assert!(!o.trace.is_enabled());
         assert!(!o.metrics.is_enabled());
         assert!(!o.profiler.is_enabled());
-        o.work.record_engine(3, 4, 2);
-        assert_eq!(o.run_report().work.events_popped, 3);
+        assert!(!o.recorder.is_enabled());
+        assert!(!o.telemetry.is_enabled());
         assert_eq!(o.trace.heap_allocations(), 0);
     }
 }

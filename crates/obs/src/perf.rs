@@ -129,7 +129,7 @@ fn scenario(r: &mut json::Reader<'_>) -> Result<ScenarioPerf, json::Error> {
         match key {
             "jobs" => s.jobs = r.u64()?,
             "work" => {
-                let mut w = WorkCounters::enabled();
+                let mut w = WorkCounters::default();
                 r.object(|r, counter| counter_value(r, |n| w.set_field(counter, n)))?;
                 s.work = w;
             }
@@ -308,10 +308,19 @@ mod tests {
     }
 
     fn baseline(candidates: u64) -> PerfBaseline {
-        let mut work = WorkCounters::enabled();
-        work.record_engine(100, 120, 8);
-        work.record_sched(10, 5, 3, candidates, 40);
-        work.record_churn(1, 2);
+        let work = WorkCounters {
+            events_popped: 100,
+            events_scheduled: 120,
+            heap_peak_depth: 8,
+            sched_cycles: 10,
+            inorder_starts: 5,
+            backfill_starts: 3,
+            backfill_candidates_scanned: candidates,
+            profile_segments_walked: 40,
+            requeues: 1,
+            retries: 2,
+            ..WorkCounters::default()
+        };
         let scenario = ScenarioPerf {
             jobs: 8,
             work,
@@ -363,13 +372,6 @@ mod tests {
         b.scenarios.remove("faulted");
         let scn = b.scenarios.get_mut("fault_free").unwrap();
         scn.mem = Some(mem(2));
-        scn.work = {
-            let mut w = WorkCounters::enabled();
-            w.record_engine(100, 120, 8);
-            w.record_sched(10, 5, 3, 77, 40);
-            w.record_churn(1, 2);
-            w
-        };
         let expected = "{\n  \"schema\":2,\n  \"jobs_prefix\":2000,\n  \
 \"machine\":\"ross\",\n  \"scenarios\":{\n    \"fault_free\":{\n      \"jobs\":8,\n      \
 \"work\":{\"events_popped\":100,\"events_scheduled\":120,\"heap_peak_depth\":8,\

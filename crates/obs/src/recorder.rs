@@ -28,7 +28,8 @@
 //! readings are reporting-only and never feed back into simulation state.
 
 use crate::json;
-use crate::profile::ProfileSnapshot;
+use crate::profile::{Phase, PhaseProfiler, ProfileSnapshot};
+use crate::work::WorkCounters;
 use simkit::time::SimTime;
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -144,37 +145,6 @@ impl CycleRecord {
     }
 }
 
-/// Cumulative totals the driver hands to [`CycleRecorder::end_cycle`];
-/// the recorder diffs consecutive snapshots itself, so callers pass the
-/// running sums they already maintain. Plain u64s keep `obs` free of a
-/// `sched` dependency.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CycleTotals {
-    /// Events handled so far (the driver's step count).
-    pub events: u64,
-    /// Jobs dispatched so far (in-order + backfill).
-    pub starts: u64,
-    /// Backfill candidates scanned so far.
-    pub candidates: u64,
-    /// Free-profile segments walked so far.
-    pub segments: u64,
-}
-
-/// Cumulative per-phase wall nanos at the end of a pass (from
-/// [`crate::profile::PhaseProfiler::total_ns`]); diffed like
-/// [`CycleTotals`]. All zero when phase profiling is off.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PhaseNanos {
-    /// `event-pump` cumulative nanos.
-    pub pump: u64,
-    /// `order-queue` cumulative nanos.
-    pub order: u64,
-    /// `free-profile` cumulative nanos.
-    pub profile: u64,
-    /// `backfill` cumulative nanos.
-    pub backfill: u64,
-}
-
 /// Bounded per-cycle flight recorder (see module docs).
 #[derive(Clone, Debug)]
 pub struct CycleRecorder {
@@ -183,8 +153,8 @@ pub struct CycleRecorder {
     top_k: usize,
     cycles_seen: u64,
     dropped: u64,
-    prev: CycleTotals,
-    prev_ns: PhaseNanos,
+    prev: WorkCounters,
+    prev_ns: [u64; Phase::COUNT],
     ring: VecDeque<CycleRecord>,
     top: Vec<CycleRecord>,
 }
@@ -204,8 +174,8 @@ impl CycleRecorder {
             top_k: DEFAULT_TOP_K,
             cycles_seen: 0,
             dropped: 0,
-            prev: CycleTotals::default(),
-            prev_ns: PhaseNanos::default(),
+            prev: WorkCounters::default(),
+            prev_ns: [0; Phase::COUNT],
             ring: VecDeque::new(),
             top: Vec::new(),
         }
@@ -245,40 +215,48 @@ impl CycleRecorder {
     }
 
     /// Close the pass opened by [`begin`](CycleRecorder::begin): diff the
-    /// cumulative totals against the previous pass, record the result in
-    /// the ring and (if expensive enough) the top-K ledger.
+    /// run's work counters and the profiler's per-phase totals against the
+    /// previous pass, record the result in the ring and (if expensive
+    /// enough) the top-K ledger.
     pub fn end_cycle(
         &mut self,
         token: Option<Instant>,
         now: SimTime,
         queue_depth: u64,
-        totals: CycleTotals,
-        ns: PhaseNanos,
+        work: &WorkCounters,
+        profiler: &PhaseProfiler,
     ) {
         let Some(t0) = token else { return };
         if !self.enabled {
             return;
         }
         let ns_total = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let events = totals.events.wrapping_sub(self.prev.events);
-        let candidates = totals.candidates.wrapping_sub(self.prev.candidates);
-        let segments = totals.segments.wrapping_sub(self.prev.segments);
+        let ns = Phase::ALL.map(|p| profiler.stat(p).total_ns);
+        let lap = |p: Phase| ns[p as usize].wrapping_sub(self.prev_ns[p as usize]);
+        let prev = &self.prev;
+        let events = work.events_popped.wrapping_sub(prev.events_popped);
+        let candidates = work
+            .backfill_candidates_scanned
+            .wrapping_sub(prev.backfill_candidates_scanned);
+        let segments = work
+            .profile_segments_walked
+            .wrapping_sub(prev.profile_segments_walked);
         let rec = CycleRecord {
             cycle: self.cycles_seen,
             t_s: now.as_secs(),
             queue_depth,
             events,
-            starts: totals.starts.wrapping_sub(self.prev.starts),
+            starts: work.starts().wrapping_sub(prev.starts()),
             candidates,
             segments,
             cost: events + candidates + segments,
             ns_total,
-            ns_pump: ns.pump.wrapping_sub(self.prev_ns.pump),
-            ns_order: ns.order.wrapping_sub(self.prev_ns.order),
-            ns_profile: ns.profile.wrapping_sub(self.prev_ns.profile),
-            ns_backfill: ns.backfill.wrapping_sub(self.prev_ns.backfill),
+            ns_pump: lap(Phase::EventPump),
+            ns_order: lap(Phase::OrderQueue),
+            ns_profile: lap(Phase::FreeProfile),
+            ns_backfill: lap(Phase::Backfill),
         };
-        self.prev = totals;
+        self.prev = *work;
         self.prev_ns = ns;
         self.cycles_seen += 1;
         self.ring.push_back(rec);
@@ -477,23 +455,23 @@ mod tests {
     /// Drive `n` passes with LCG-derived totals; returns the recorder.
     fn drive(n: u64, capacity: usize, top_k: usize) -> CycleRecorder {
         let mut r = CycleRecorder::with_limits(capacity, top_k);
-        let mut totals = CycleTotals::default();
+        let mut work = WorkCounters::default();
         let mut x = 0x9e3779b97f4a7c15u64;
         for i in 0..n {
             let t = r.begin();
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            totals.events += (x >> 33) % 7;
-            totals.starts += (x >> 23) % 3;
-            totals.candidates += (x >> 13) % 11;
-            totals.segments += (x >> 3) % 5;
+            work.events_popped += (x >> 33) % 7;
+            work.inorder_starts += (x >> 23) % 3;
+            work.backfill_candidates_scanned += (x >> 13) % 11;
+            work.profile_segments_walked += (x >> 3) % 5;
             r.end_cycle(
                 t,
                 SimTime::from_secs(i * 60),
                 (x >> 40) % 100,
-                totals,
-                PhaseNanos::default(),
+                &work,
+                &PhaseProfiler::disabled(),
             );
         }
         r
@@ -504,19 +482,42 @@ mod tests {
         let mut r = CycleRecorder::disabled();
         let t = r.begin();
         assert!(t.is_none());
+        let work = WorkCounters {
+            events_popped: 10,
+            ..Default::default()
+        };
         r.end_cycle(
             t,
             SimTime::from_secs(1),
             5,
-            CycleTotals {
-                events: 10,
-                ..Default::default()
-            },
-            PhaseNanos::default(),
+            &work,
+            &PhaseProfiler::disabled(),
         );
         assert_eq!(r.cycles_seen(), 0);
         assert_eq!(r.ring().count(), 0);
         assert!(r.top().is_empty());
+    }
+
+    #[test]
+    fn phase_nanos_are_per_pass_laps_of_the_profiler_totals() {
+        let mut r = CycleRecorder::with_limits(8, 1);
+        let mut profiler = PhaseProfiler::enabled();
+        let work = WorkCounters::default();
+        let mut totals = [0u64; 2];
+        for _ in 0..3 {
+            let t = r.begin();
+            for phase in [Phase::EventPump, Phase::Backfill] {
+                let span = profiler.begin();
+                profiler.end(phase, span);
+            }
+            r.end_cycle(t, SimTime::ZERO, 0, &work, &profiler);
+            let rec = r.ring().last().copied().unwrap();
+            totals[0] += rec.ns_pump;
+            totals[1] += rec.ns_backfill;
+            assert_eq!((rec.ns_order, rec.ns_profile), (0, 0));
+        }
+        assert_eq!(totals[0], profiler.stat(Phase::EventPump).total_ns);
+        assert_eq!(totals[1], profiler.stat(Phase::Backfill).total_ns);
     }
 
     #[test]
@@ -570,11 +571,10 @@ mod tests {
         let r = drive(40, 16, 4);
         let mut profile = ProfileSnapshot::default();
         profile.phases.insert(
-            "event-pump",
+            Phase::EventPump.name(),
             crate::profile::PhaseStat {
                 calls: 40,
                 total_ns: 12345,
-                ..Default::default()
             },
         );
         let full = r.to_jsonl(&profile);
@@ -584,7 +584,10 @@ mod tests {
         assert_eq!(dump.dropped, 24);
         assert_eq!(dump.ring.len(), 16);
         assert_eq!(dump.top.len(), 4);
-        assert_eq!(dump.phases, vec![("event-pump".to_string(), 40, 12345)]);
+        assert_eq!(
+            dump.phases,
+            vec![(Phase::EventPump.name().to_string(), 40, 12345)]
+        );
         let ring: Vec<CycleRecord> = r.ring().copied().collect();
         assert_eq!(dump.ring, ring, "counter+ns fields survive the round trip");
         assert_eq!(dump.top, r.top());

@@ -26,7 +26,7 @@ pub struct RunReport {
     pub metrics: MetricsSnapshot,
     /// Wall-clock phase timings (empty when profiling was disabled).
     pub profile: ProfileSnapshot,
-    /// Deterministic work counters (all zero when counting was disabled).
+    /// Deterministic work counters.
     pub work: WorkCounters,
     /// Allocator tallies for the run window (all zero unless the
     /// `alloc-count` feature is on).
@@ -92,7 +92,7 @@ impl RunReport {
 mod tests {
     use super::*;
     use crate::metrics::MetricsRegistry;
-    use crate::profile::PhaseProfiler;
+    use crate::profile::{Phase, PhaseProfiler};
 
     #[test]
     fn deterministic_json_excludes_profile_but_keeps_work() {
@@ -100,9 +100,13 @@ mod tests {
         m.inc("jobs.finished.native", 2);
         let mut p = PhaseProfiler::enabled();
         let t = p.begin();
-        p.end("schedule-cycle", t);
-        let mut w = WorkCounters::enabled();
-        w.record_engine(7, 9, 3);
+        p.end(Phase::ScheduleCycle, t);
+        let w = WorkCounters {
+            events_popped: 7,
+            events_scheduled: 9,
+            heap_peak_depth: 3,
+            ..WorkCounters::default()
+        };
         let report = RunReport::new(m.snapshot(), p.snapshot(), w, AllocCounters::disabled());
         let det = report.to_json_deterministic();
         assert_eq!(

@@ -11,12 +11,12 @@
 //!
 //! * **Deterministic** — same seed, same machine ⇒ bitwise-identical
 //!   counters, on any host. CI diffs them *exactly*.
-//! * **Zero-cost when disabled** — every `record_*` method is a single
-//!   predictable branch on a bool, the same pattern as
-//!   [`crate::metrics::MetricsRegistry`].
+//! * **Always kept** — the sources (the event queue, the scheduler, the
+//!   fault ledger) count in every run, so there is no switch: the driver
+//!   reads them into one snapshot whenever an instrument asks, and once
+//!   more at the end of the run for the report.
 //! * **Out-of-band** — counters live in [`crate::report::RunReport`], never
-//!   in the trace stream, so golden traces stay byte-identical whether or
-//!   not counting is on.
+//!   in the trace stream, so golden traces stay byte-identical.
 
 use crate::json;
 
@@ -27,11 +27,10 @@ pub const FIELD_COUNT: usize = 13;
 ///
 /// Plain `Copy` data: snapshotting is a move, merging is fieldwise
 /// arithmetic (sums, except the peak which is a max), so `merge` is
-/// associative and commutative with [`WorkCounters::disabled`] as identity
-/// on the counter values — properties pinned by tests.
+/// associative and commutative with the default (all zero) as identity —
+/// properties pinned by tests.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkCounters {
-    enabled: bool,
     /// Events popped off the future-event list.
     pub events_popped: u64,
     /// Events ever scheduled onto the future-event list.
@@ -66,74 +65,10 @@ pub struct WorkCounters {
 }
 
 impl WorkCounters {
-    /// Counting off — the zero-cost default.
-    pub fn disabled() -> Self {
-        WorkCounters::default()
-    }
-
-    /// Counting on.
-    pub fn enabled() -> Self {
-        WorkCounters {
-            enabled: true,
-            ..WorkCounters::default()
-        }
-    }
-
-    /// Is this instance collecting?
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Fold in event-pump totals (adds; the peak folds as a max).
+    /// Jobs started by the scheduler: in queue order plus by backfill.
     #[inline]
-    pub fn record_engine(&mut self, popped: u64, scheduled: u64, peak_depth: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.events_popped += popped;
-        self.events_scheduled += scheduled;
-        self.heap_peak_depth = self.heap_peak_depth.max(peak_depth);
-    }
-
-    /// Fold in scheduler totals.
-    #[inline]
-    pub fn record_sched(
-        &mut self,
-        cycles: u64,
-        inorder: u64,
-        backfill: u64,
-        candidates_scanned: u64,
-        segments_walked: u64,
-    ) {
-        if !self.enabled {
-            return;
-        }
-        self.sched_cycles += cycles;
-        self.inorder_starts += inorder;
-        self.backfill_starts += backfill;
-        self.backfill_candidates_scanned += candidates_scanned;
-        self.profile_segments_walked += segments_walked;
-    }
-
-    /// Fold in fault-churn totals.
-    #[inline]
-    pub fn record_churn(&mut self, requeues: u64, retries: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.requeues += requeues;
-        self.retries += retries;
-    }
-
-    /// Fold in recovery-ledger totals (checkpoint/suspend policies only).
-    #[inline]
-    pub fn record_recovery(&mut self, checkpoints: u64, salvaged: u64, reexecuted: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.checkpoints_taken += checkpoints;
-        self.cpu_s_salvaged += salvaged;
-        self.cpu_s_reexecuted += reexecuted;
+    pub fn starts(&self) -> u64 {
+        self.inorder_starts + self.backfill_starts
     }
 
     /// All counters as `(name, value)` pairs in canonical (JSON) order.
@@ -185,11 +120,10 @@ impl WorkCounters {
 
     /// Combine two snapshots: sums everywhere, max for the peak depth.
     ///
-    /// Associative and commutative; merging with a fresh instance is the
-    /// identity on counter values. Enablement is sticky (`or`).
+    /// Associative and commutative; merging with the default is the
+    /// identity.
     pub fn merge(&self, other: &WorkCounters) -> WorkCounters {
         WorkCounters {
-            enabled: self.enabled || other.enabled,
             events_popped: self.events_popped + other.events_popped,
             events_scheduled: self.events_scheduled + other.events_scheduled,
             heap_peak_depth: self.heap_peak_depth.max(other.heap_peak_depth),
@@ -231,7 +165,7 @@ mod tests {
 
     fn sample(seed: u64) -> WorkCounters {
         // Small deterministic LCG so tests need no RNG dependency.
-        let mut w = WorkCounters::enabled();
+        let mut w = WorkCounters::default();
         let mut x = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
         for (name, _) in WorkCounters::default().fields() {
             x = x
@@ -240,37 +174,6 @@ mod tests {
             assert!(w.set_field(name, x >> 33));
         }
         w
-    }
-
-    #[test]
-    fn disabled_records_nothing() {
-        let mut w = WorkCounters::disabled();
-        w.record_engine(10, 20, 5);
-        w.record_sched(1, 2, 3, 4, 5);
-        w.record_churn(6, 7);
-        w.record_recovery(1, 2, 3);
-        assert_eq!(w, WorkCounters::disabled());
-    }
-
-    #[test]
-    fn enabled_accumulates_and_peaks() {
-        let mut w = WorkCounters::enabled();
-        w.record_engine(10, 12, 5);
-        w.record_engine(1, 2, 3);
-        assert_eq!(w.events_popped, 11);
-        assert_eq!(w.events_scheduled, 14);
-        assert_eq!(w.heap_peak_depth, 5, "peak is a max, not a sum");
-        w.record_sched(2, 1, 1, 7, 9);
-        w.record_churn(1, 4);
-        w.record_recovery(2, 640, 96);
-        assert_eq!(w.sched_cycles, 2);
-        assert_eq!(w.backfill_candidates_scanned, 7);
-        assert_eq!(w.profile_segments_walked, 9);
-        assert_eq!(w.requeues, 1);
-        assert_eq!(w.retries, 4);
-        assert_eq!(w.checkpoints_taken, 2);
-        assert_eq!(w.cpu_s_salvaged, 640);
-        assert_eq!(w.cpu_s_reexecuted, 96);
     }
 
     #[test]
@@ -283,16 +186,22 @@ mod tests {
     #[test]
     fn merge_identity_is_the_fresh_instance() {
         let a = sample(42);
-        assert_eq!(a.merge(&WorkCounters::enabled()), a);
-        let via_disabled = a.merge(&WorkCounters::disabled());
-        assert_eq!(via_disabled.fields(), a.fields());
+        assert_eq!(a.merge(&WorkCounters::default()), a);
+        assert_eq!(WorkCounters::default().merge(&a), a);
     }
 
     #[test]
     fn json_is_canonical_and_complete() {
-        let mut w = WorkCounters::enabled();
-        w.record_engine(3, 4, 2);
-        w.record_sched(1, 1, 0, 5, 6);
+        let w = WorkCounters {
+            events_popped: 3,
+            events_scheduled: 4,
+            heap_peak_depth: 2,
+            sched_cycles: 1,
+            inorder_starts: 1,
+            backfill_candidates_scanned: 5,
+            profile_segments_walked: 6,
+            ..WorkCounters::default()
+        };
         assert_eq!(
             w.to_json(),
             "{\"events_popped\":3,\"events_scheduled\":4,\"heap_peak_depth\":2,\
@@ -306,7 +215,7 @@ mod tests {
 
     #[test]
     fn set_field_round_trips_every_name() {
-        let mut w = WorkCounters::enabled();
+        let mut w = WorkCounters::default();
         for (i, (name, _)) in WorkCounters::default().fields().iter().enumerate() {
             assert!(w.set_field(name, i as u64 + 1));
         }

@@ -11,8 +11,8 @@
 
 use obs::event::{parse_line, EventKind, PreemptKind, StartKind};
 use obs::perf::{PerfBaseline, ScenarioPerf, PERF_SCHEMA};
-use obs::profile::{PhaseStat, ProfileSnapshot};
-use obs::recorder::{CycleRecorder, CycleTotals, PhaseNanos, RecorderDump};
+use obs::profile::{Phase, PhaseProfiler, PhaseStat, ProfileSnapshot};
+use obs::recorder::{CycleRecorder, RecorderDump};
 use obs::telemetry::{AnnotationKind, TelemetryBus, TelemetryDump};
 use obs::{AllocCounters, TraceSink, WorkCounters};
 use simkit::time::SimTime;
@@ -22,9 +22,17 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 type Parse = fn(&str) -> Result<String, String>;
 
 fn perf_text() -> String {
-    let mut work = WorkCounters::enabled();
-    work.record_engine(100, 120, 8);
-    work.record_sched(10, 5, 3, 77, 40);
+    let work = WorkCounters {
+        events_popped: 100,
+        events_scheduled: 120,
+        heap_peak_depth: 8,
+        sched_cycles: 10,
+        inorder_starts: 5,
+        backfill_starts: 3,
+        backfill_candidates_scanned: 77,
+        profile_segments_walked: 40,
+        ..WorkCounters::default()
+    };
     let mut mem = AllocCounters::enabled();
     assert!(mem.set_field("allocations", 12));
     let mut b = PerfBaseline {
@@ -43,26 +51,20 @@ fn perf_text() -> String {
 
 fn recorder_text() -> String {
     let mut r = CycleRecorder::with_limits(4, 2);
-    let mut totals = CycleTotals::default();
+    let mut work = WorkCounters::default();
     for i in 0..6 {
         let token = r.begin();
-        totals.events += 1 + i % 3;
-        totals.candidates += 7 * i;
-        r.end_cycle(
-            token,
-            SimTime::from_secs(60 * i),
-            i,
-            totals,
-            PhaseNanos::default(),
-        );
+        work.events_popped += 1 + i % 3;
+        work.backfill_candidates_scanned += 7 * i;
+        let t = SimTime::from_secs(60 * i);
+        r.end_cycle(token, t, i, &work, &PhaseProfiler::disabled());
     }
     let mut profile = ProfileSnapshot::default();
     let stat = PhaseStat {
         calls: 6,
         total_ns: 12_345,
-        ..PhaseStat::default()
     };
-    profile.phases.insert("backfill", stat);
+    profile.phases.insert(Phase::Backfill.name(), stat);
     r.to_jsonl(&profile)
 }
 

@@ -4,7 +4,7 @@
 
 use obs::metrics::MetricsSnapshot;
 use obs::telemetry::{Annotation, AnnotationKind, TelemetryBus, DRIVER_SIGNALS};
-use obs::{EventKind, Obs, PreemptKind, StartKind};
+use obs::{EventKind, MetricsRegistry, Obs, PreemptKind, StartKind, TraceSink};
 use simkit::time::SimTime;
 
 const T: SimTime = SimTime::from_secs(7);
@@ -113,14 +113,20 @@ fn every_kind() -> Vec<EventKind> {
 
 /// Record `kind` with only the metrics registry on.
 fn metrics_of(kind: EventKind) -> MetricsSnapshot {
-    let mut o = Obs::with(false, true, false);
+    let mut o = Obs {
+        metrics: MetricsRegistry::enabled(),
+        ..Obs::disabled()
+    };
     o.record(T, kind);
     o.metrics.snapshot()
 }
 
 /// Record `kind` with the metrics registry and the telemetry bus on.
 fn annotations_of(kind: EventKind) -> Vec<Annotation> {
-    let mut o = Obs::with(false, true, false);
+    let mut o = Obs {
+        metrics: MetricsRegistry::enabled(),
+        ..Obs::disabled()
+    };
     o.telemetry = TelemetryBus::enabled(3_600, DRIVER_SIGNALS);
     o.record(T, kind);
     o.telemetry.annotations().to_vec()
@@ -223,7 +229,10 @@ fn outages_and_slo_transitions_annotate_the_time_axis() {
 #[test]
 fn metrics_count_with_the_trace_off() {
     // The configuration the metrics-overhead measurement runs.
-    let mut o = Obs::with(false, true, false);
+    let mut o = Obs {
+        metrics: MetricsRegistry::enabled(),
+        ..Obs::disabled()
+    };
     for kind in every_kind() {
         o.record(T, kind);
     }
@@ -236,7 +245,10 @@ fn metrics_count_with_the_trace_off() {
 
 #[test]
 fn the_trace_keeps_every_event_in_order() {
-    let mut o = Obs::with(true, false, false);
+    let mut o = Obs {
+        trace: TraceSink::enabled(),
+        ..Obs::disabled()
+    };
     for kind in every_kind() {
         o.record(T, kind);
     }

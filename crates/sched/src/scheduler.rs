@@ -12,6 +12,7 @@ use crate::invariants;
 use crate::priority::PriorityPolicy;
 use crate::window::DispatchWindow;
 use machine::{MachineConfig, QueueSystem, RunningSet};
+use obs::profile::Phase;
 use simkit::time::{SimDuration, SimTime};
 use workload::Job;
 
@@ -276,16 +277,16 @@ impl Scheduler {
         let token = observer.profiler.begin();
         self.order_queue(now);
         let eligible = self.dispatchable();
-        observer.profiler.end("order-queue", token);
+        observer.profiler.end(Phase::OrderQueue, token);
         let plan = if eligible.is_empty() {
             DispatchPlan::default()
         } else {
             let token = observer.profiler.begin();
             let mut view = running.indexed_profile(now, free, now + backfill::LOOKAHEAD);
-            observer.profiler.end("free-profile", token);
+            observer.profiler.end(Phase::FreeProfile, token);
             let token = observer.profiler.begin();
             let plan = backfill::plan_on(self.backfill, &eligible, now, &mut view, self.window);
-            observer.profiler.end("backfill", token);
+            observer.profiler.end(Phase::Backfill, token);
             // Segments of the only profile this cycle built — the plan
             // overlay. The base timeline stays inside the shared index,
             // never materialized.

@@ -15,7 +15,7 @@
 
 use interstitial_computing::interstitial::prelude::*;
 use interstitial_computing::machine::{self, MachineConfig};
-use interstitial_computing::obs::Obs;
+use interstitial_computing::obs::{Obs, TraceSink};
 use interstitial_computing::simkit::time::SimTime;
 use interstitial_computing::workload::traces::native_trace;
 use std::path::PathBuf;
@@ -131,9 +131,10 @@ fn same_seed_replays_are_byte_identical() {
 
 #[test]
 fn work_counters_do_not_perturb_the_trace_stream() {
-    // Work counters live in the RunReport, never in the trace bytes:
-    // enabling them must leave the golden JSONL byte-identical, or every
-    // pinned trace would churn whenever a counter is added.
+    // Work counters live in the RunReport, never in the trace bytes: the
+    // trace-only and the all-on replay must write the same JSONL and count
+    // the same work, or every pinned trace would churn whenever a counter
+    // is added.
     let cfg = machine::config::ross();
     let run_with = |observer: Obs| {
         let mut natives = native_trace(&cfg, GOLDEN_SEED);
@@ -153,11 +154,12 @@ fn work_counters_do_not_perturb_the_trace_stream() {
             .build()
             .run()
     };
-    // Trace on, work counters off vs trace on, everything on.
-    let trace_only = run_with(Obs::with(true, false, false));
+    // Trace only vs trace, metrics and profiler on.
+    let trace_only = run_with(Obs {
+        trace: TraceSink::enabled(),
+        ..Obs::disabled()
+    });
     let all_on = run_with(Obs::enabled());
-    assert!(!trace_only.obs.work.is_enabled());
-    assert!(all_on.obs.work.is_enabled());
     let (a, b) = (trace_only.obs.trace.to_jsonl(), all_on.obs.trace.to_jsonl());
     assert_eq!(a, b, "enabling work counters changed the trace bytes");
     assert!(
@@ -168,6 +170,7 @@ fn work_counters_do_not_perturb_the_trace_stream() {
         all_on.obs.work.events_popped > 0,
         "the all-on run should still have collected counters"
     );
+    assert_eq!(trace_only.obs.work, all_on.obs.work);
 }
 
 #[test]

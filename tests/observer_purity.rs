@@ -2,8 +2,8 @@
 //!
 //! The same native-log prefix replayed with every instrument off, with the
 //! default bundle on, and with the telemetry bus sampling at the default
-//! cadence on top must schedule every job identically, and the two observed
-//! replays must do bitwise-identical work. The driver's unit tests check
+//! cadence on top must schedule every job identically, and all three must
+//! report bitwise-identical work counters. The driver's unit tests check
 //! this on a toy machine; here it runs on each calibrated preset, where the
 //! telemetry tick reads a running set of hundreds of jobs.
 
@@ -66,7 +66,10 @@ fn observers_change_neither_the_schedule_nor_the_work_on_any_preset() {
             schedule(&sampled),
             "{name}: telemetry sampling changed the schedule"
         );
-        assert!(on.obs.work.is_enabled());
+        assert_eq!(
+            off.obs.work, on.obs.work,
+            "{name}: the work counters depend on which instruments are on"
+        );
         assert_eq!(
             on.obs.work, sampled.obs.work,
             "{name}: telemetry sampling perturbed the work counters"
