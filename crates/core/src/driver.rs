@@ -962,10 +962,11 @@ impl Simulator {
             retries: st.faults.interstitial_retries,
             ..WorkCounters::default()
         };
-        // Under kill-restart the recovery counters stay zero even though a
-        // checkpoint-mode preemption still salvages work into the ledger:
-        // the frozen perf baselines and the pinned run reports of
-        // kill-restart replays hold those zeros.
+        // Kill-restart reports no recovery work, as it always has: its
+        // evictions keep nothing, and the one thing the ledger can still
+        // book under it (the frozen attempt of a checkpoint-mode
+        // preemption, as salvaged) stays out of its work counters, which is
+        // what the committed kill-restart reports and baselines hold.
         if self.recovery != RecoveryPolicy::KillRestart {
             let ledger = &st.faults.ledger;
             work.checkpoints_taken = ledger.checkpoints_taken();

@@ -151,11 +151,20 @@ impl PhaseProfiler {
     #[inline]
     pub fn end(&mut self, phase: Phase, token: Option<Instant>) {
         if let Some(t0) = token {
-            let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            let stat = &mut self.stats[phase as usize];
-            stat.calls += 1;
-            stat.total_ns = stat.total_ns.saturating_add(ns);
+            self.charge(phase, t0);
         }
+    }
+
+    /// The timed half of [`end`](PhaseProfiler::end), kept out of line so
+    /// the scheduler's and the driver's loops, which open spans on every
+    /// pass, inline only the branch when profiling is off.
+    #[cold]
+    #[inline(never)]
+    fn charge(&mut self, phase: Phase, t0: Instant) {
+        let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let stat = &mut self.stats[phase as usize];
+        stat.calls += 1;
+        stat.total_ns = stat.total_ns.saturating_add(ns);
     }
 
     /// The accumulated stats of one phase (zero when never timed).
