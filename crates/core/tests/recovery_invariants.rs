@@ -288,15 +288,61 @@ fn preempting_streams_under_faults_are_pinned() {
     // after its retry restarts. Only the default-preemption faulted replays
     // are pinned elsewhere, so these digests guard the eviction-credit and
     // resume paths of preempting streams. Five days keep the test quick.
-    const PINS: [(Preemption, &str, u64); 6] = [
-        (Preemption::Kill, "kill", 0x156b_c7d4_aa60_67c9),
-        (Preemption::Kill, "ckpt=300", 0xe745_2178_544e_6d5c),
-        (Preemption::Kill, "suspend", 0x6c73_7db1_7a23_a5ad),
-        (Preemption::Checkpoint, "kill", 0x55f2_2e61_ab5c_7b74),
-        (Preemption::Checkpoint, "ckpt=300", 0xf0c5_0e6a_a723_4a2f),
-        (Preemption::Checkpoint, "suspend", 0x8197_5447_191f_b24c),
+    // Each pair also pins its work counters, in `WorkCounters::fields`
+    // order: events popped and scheduled, heap peak, cycles, in-order and
+    // backfill starts, candidates, segments, requeues, retries,
+    // checkpoints, CPU·s salvaged and re-executed.
+    const PINS: [(Preemption, &str, u64, [u64; 13]); 6] = [
+        (
+            Preemption::Kill,
+            "kill",
+            0x156b_c7d4_aa60_67c9,
+            [
+                8378, 8378, 924, 4133, 799, 29, 205710, 9154, 18, 68, 0, 0, 0,
+            ],
+        ),
+        (
+            Preemption::Kill,
+            "ckpt=300",
+            0xe745_2178_544e_6d5c,
+            [
+                8450, 8450, 924, 4465, 787, 40, 215309, 9634, 17, 63, 135, 1296000, 2698464,
+            ],
+        ),
+        (
+            Preemption::Kill,
+            "suspend",
+            0x6c73_7db1_7a23_a5ad,
+            [
+                8627, 8627, 924, 5970, 786, 41, 253315, 11300, 17, 64, 0, 3956096, 0,
+            ],
+        ),
+        (
+            Preemption::Checkpoint,
+            "kill",
+            0x55f2_2e61_ab5c_7b74,
+            [
+                8725, 8725, 924, 5755, 789, 37, 242598, 10891, 16, 67, 0, 0, 0,
+            ],
+        ),
+        (
+            Preemption::Checkpoint,
+            "ckpt=300",
+            0xf0c5_0e6a_a723_4a2f,
+            [
+                8601, 8601, 924, 5744, 788, 40, 242981, 10857, 18, 63, 11, 3790560, 210816,
+            ],
+        ),
+        (
+            Preemption::Checkpoint,
+            "suspend",
+            0x8197_5447_191f_b24c,
+            [
+                8627, 8627, 924, 5970, 786, 41, 253315, 11300, 17, 64, 0, 3956096, 0,
+            ],
+        ),
     ];
-    for (preemption, recovery, pin) in PINS {
+    for (preemption, recovery, pin, work) in PINS {
         let out = five_day_replay(preemption, recovery);
         let jsonl = out.obs.trace.to_jsonl();
         let what = format!("{preemption:?} x {recovery}");
@@ -315,6 +361,14 @@ fn preempting_streams_under_faults_are_pinned() {
             assert!(out.faults.interstitial_resumes > 0, "{what}: no resume");
         }
         assert_eq!(digest(&out), pin, "{what}: digest {:#018x}", digest(&out));
+        assert_eq!(out.obs.work.fields().map(|(_, v)| v), work, "{what}");
+        if (preemption, recovery) == (Preemption::Checkpoint, "kill") {
+            // Today's answer to the kill-restart salvage question: the
+            // ledger books the frozen checkpoint-preemption attempts as
+            // salvaged, and the work counters report none of it.
+            assert_eq!(out.obs.work.cpu_s_salvaged, 0, "{what}");
+            assert_eq!(out.faults.ledger.salvaged(), 3_902_752, "{what}");
+        }
     }
 }
 
