@@ -320,12 +320,11 @@ pub struct Simulator {
 enum Phase {
     /// Holding CPUs; its live finish event carries the current generation.
     Running,
-    /// A native a fault put back at the head of the scheduler's queue.
-    Requeued,
     /// A fault-killed interstitial waiting out its retry backoff.
     Backoff,
-    /// An interstitial queued to start again: in `StreamSet::ready` once
-    /// its backoff expired, or in `StreamSet::suspended` once preempted.
+    /// Queued to start again: a native a fault put back at the head of
+    /// the scheduler's queue, or an interstitial in `StreamSet::ready` once
+    /// its backoff expired or in `StreamSet::suspended` once preempted.
     Waiting,
 }
 

@@ -106,7 +106,7 @@ impl Simulator {
             st.q.schedule(release, Ev::Retry(id));
             "faults.retry_scheduled"
         } else {
-            st.job_mut(id).phase = Phase::Requeued;
+            st.job_mut(id).phase = Phase::Waiting;
             st.faults.ledger.native_fault_kill(rj.cpus, elapsed);
             st.faults.native_requeues += 1;
             self.scheduler.requeue_front(job);
