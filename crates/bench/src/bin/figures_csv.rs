@@ -1,20 +1,26 @@
-//! Dump every figure's numeric series as CSV files for external plotting.
+//! Dump every figure's numeric series as CSV files for external plotting,
+//! computed from the same data as EXPERIMENTS.md.
 //!
 //! Usage: figures_csv `[output_dir]`   (default: ./figures)
 
-use analysis::figures::{utilization_series, wait_histogram, xy_csv};
+use analysis::figures::{survival_curve, utilization_series, wait_histogram, xy_csv};
 use analysis::metrics::largest_fraction;
-use bench::lab::REPLICATION_SEED;
+use bench::experiments::fallible::figure3_samples;
 use bench::Lab;
-use interstitial::experiment::{omniscient_makespans, window_makespans};
-use interstitial::{theory, InterstitialPolicy, InterstitialProject};
-use machine::config::{all_machines, blue_mountain};
+use interstitial::InterstitialPolicy;
+use machine::config::blue_mountain;
 use simkit::time::SimDuration;
 use std::path::Path;
+use std::process::exit;
+
+fn fail(path: &Path, e: std::io::Error) -> ! {
+    eprintln!("cannot write {}: {e}", path.display());
+    exit(1);
+}
 
 fn write(dir: &Path, name: &str, text: &str) {
     let path = dir.join(name);
-    std::fs::write(&path, text).expect("write csv");
+    std::fs::write(&path, text).unwrap_or_else(|e| fail(&path, e));
     println!("wrote {}", path.display());
 }
 
@@ -23,38 +29,20 @@ fn main() {
         .nth(1)
         .unwrap_or_else(|| "figures".to_string());
     let dir = Path::new(&dir);
-    std::fs::create_dir_all(dir).expect("create output dir");
+    std::fs::create_dir_all(dir).unwrap_or_else(|e| fail(dir, e));
     let mut lab = Lab::new();
 
-    // Figure 2: theory vs measured scatter (reduced replication).
-    let mut points = Vec::new();
-    for cfg in all_machines() {
-        let baseline = lab.baseline(&cfg);
-        for (_, project) in InterstitialProject::table2_grid() {
-            let th = theory::ideal_makespan_secs(&project, &cfg) / 3_600.0;
-            for m in omniscient_makespans(&baseline, &project, 10, REPLICATION_SEED, 5)
-                .iter()
-                .flatten()
-            {
-                points.push((th, *m));
-            }
-        }
-    }
+    // Figure 2: theory vs measured scatter of the Table 2 grid.
     write(
         dir,
         "figure2_scatter.csv",
-        &xy_csv(&points, "theory_h", "measured_h"),
+        &xy_csv(&lab.omniscient().points, "theory_h", "measured_h"),
     );
 
     // Figure 3: makespan survival curves for the two Blue Mountain projects.
-    let bm = blue_mountain();
-    for (jobs, rt, tag) in [(32_000u64, 120.0, "458s"), (4_000, 960.0, "3664s")] {
-        let run = lab.continual(&bm, 32, rt, InterstitialPolicy::default());
-        let ms: Vec<f64> = window_makespans(&run, jobs, 500, REPLICATION_SEED)
-            .into_iter()
-            .flatten()
-            .collect();
-        let curve = analysis::figures::survival_curve(&ms, 60);
+    for (ms, tag) in figure3_samples(&mut lab).into_iter().zip(["458s", "3664s"]) {
+        let ok: Vec<f64> = ms.into_iter().flatten().collect();
+        let curve = survival_curve(&ok, 60);
         write(
             dir,
             &format!("figure3_survival_{tag}.csv"),
@@ -63,6 +51,7 @@ fn main() {
     }
 
     // Figure 4: hourly utilization series, baseline vs continual.
+    let bm = blue_mountain();
     let baseline = lab.baseline(&bm);
     let continual = lab.continual(&bm, 32, 120.0, InterstitialPolicy::default());
     for (out, tag) in [

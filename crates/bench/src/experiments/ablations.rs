@@ -4,8 +4,9 @@
 //! paper only gestures at (backfill strictness, estimate quality, the
 //! space-breakage curve, and a fine utilization-cap sweep).
 
+use super::omniscient::REPS;
 use crate::lab::{REPLICATION_SEED, TRACE_SEED};
-use crate::{Experiment, Lab};
+use crate::Lab;
 use analysis::metrics::NativeImpact;
 use analysis::tables::fmt_k;
 use analysis::ResilienceReport;
@@ -21,8 +22,7 @@ use workload::traces::native_trace;
 
 /// Backfill flavor sweep on Blue Mountain with a continual 32CPU×458 s
 /// interstitial stream: how much does the dispatch rule matter?
-pub fn backfill_flavors(lab: &mut Lab) -> Experiment {
-    let _ = &lab; // ablations build their own simulators (non-default schedulers)
+pub fn backfill_flavors() -> String {
     let bm = blue_mountain();
     let natives = native_trace(&bm, TRACE_SEED);
     let flavors: [(&str, BackfillPolicy); 4] = [
@@ -75,15 +75,11 @@ pub fn backfill_flavors(lab: &mut Lab) -> Experiment {
          strands CPUs behind the blocked head (which interstitial jobs then\n\
          scavenge); restrictive sits between, as the paper observes of Ross.\n",
     );
-    Experiment {
-        id: "ablation_backfill",
-        title: "Backfill flavor ablation",
-        body,
-    }
+    body
 }
 
 /// Estimate-quality sweep: perfect vs paper-like vs all-default estimates.
-pub fn estimate_quality() -> Experiment {
+pub fn estimate_quality() -> String {
     use workload::shape::EstimateModel;
     let bm = blue_mountain();
     let base = native_trace(&bm, TRACE_SEED);
@@ -147,16 +143,12 @@ pub fn estimate_quality() -> Experiment {
          guard pack the machine to ~99%. The native median wait stays within\n\
          one interstitial runtime in every case.\n",
     );
-    Experiment {
-        id: "ablation_estimates",
-        title: "Estimate quality ablation",
-        body,
-    }
+    body
 }
 
 /// Breakage sweep: omniscient makespan of the same 7.7-Pcycle project split
 /// into 1…256-CPU jobs, against the §4.2 breakage curve.
-pub fn breakage_sweep(lab: &mut Lab, reps: u32) -> Experiment {
+pub fn breakage_sweep(lab: &mut Lab) -> String {
     let bm = blue_mountain();
     let baseline = lab.baseline(&bm);
     let mut t = Table::new(
@@ -176,7 +168,7 @@ pub fn breakage_sweep(lab: &mut Lab, reps: u32) -> Experiment {
         let ms = omniscient_makespans(
             &baseline,
             &project,
-            reps,
+            REPS,
             REPLICATION_SEED ^ shift as u64,
             4,
         );
@@ -202,11 +194,7 @@ pub fn breakage_sweep(lab: &mut Lab, reps: u32) -> Experiment {
          Table 3 'actual' row also shows. The interstice analysis\n\
          (analysis_gaps) isolates the same mechanism without sampling noise.\n",
     );
-    Experiment {
-        id: "ablation_breakage",
-        title: "Breakage-in-space sweep",
-        body,
-    }
+    body
 }
 
 /// Breakage-in-time extension: what checkpoint/restart would buy.
@@ -216,9 +204,8 @@ pub fn breakage_sweep(lab: &mut Lab, reps: u32) -> Experiment {
 /// interstitial runtime only in the typical case. This ablation runs the
 /// same continual stream under the paper's non-preemptive model, kill-on-
 /// demand, and idealized checkpoint/restart.
-pub fn preemption(lab: &mut Lab) -> Experiment {
+pub fn preemption() -> String {
     use interstitial::policy::Preemption;
-    let _ = &lab;
     let bm = blue_mountain();
     let natives = native_trace(&bm, TRACE_SEED);
     let project = InterstitialProject::per_paper(u64::MAX / 2, 32, 960.0);
@@ -269,18 +256,14 @@ pub fn preemption(lab: &mut Lab) -> Experiment {
          quantitative case for the checkpoint/restart support the paper lists\n\
          as future work.\n",
     );
-    Experiment {
-        id: "ablation_preemption",
-        title: "Preemptible interstitial jobs (breakage in time)",
-        body,
-    }
+    body
 }
 
 /// Gap-structure analysis: the exact harvestable fraction of each machine's
 /// free capacity as a function of interstitial job shape — §1's "large
 /// and/or long jobs cannot fit in the interstices", computed rather than
 /// asserted.
-pub fn gap_structure(lab: &mut Lab) -> Experiment {
+pub fn gap_structure(lab: &mut Lab) -> String {
     use analysis::interstices::harvestable_fraction;
     use machine::config::all_machines;
     let mut t = Table::new(
@@ -317,17 +300,12 @@ pub fn gap_structure(lab: &mut Lab) -> Experiment {
          mechanism behind Table 2's Blue Pacific penalty and the paper's case\n\
          for many small interstitial jobs.\n",
     );
-    Experiment {
-        id: "analysis_gaps",
-        title: "Interstice structure: harvestable capacity by job shape",
-        body,
-    }
+    body
 }
 
 /// Multi-project competition (extension): two interstitial projects
 /// sharing one machine's spare cycles round-robin.
-pub fn multi_project(lab: &mut Lab) -> Experiment {
-    let _ = &lab;
+pub fn multi_project() -> String {
     let bm = blue_mountain();
     let natives = native_trace(&bm, TRACE_SEED);
     // Solo run for reference.
@@ -388,17 +366,12 @@ pub fn multi_project(lab: &mut Lab) -> Experiment {
          projects are 'fungible consumers of compute cycles' (abstract), so\n\
          coexistence costs neither project more than its fair half.\n",
     );
-    Experiment {
-        id: "extension_multiproject",
-        title: "Competing interstitial projects",
-        body,
-    }
+    body
 }
 
 /// Open- vs closed-loop native submission (extension): does the paper's
 /// open-loop trace replay overstate the interstitial delay cascade?
-pub fn open_vs_closed(lab: &mut Lab) -> Experiment {
-    let _ = &lab;
+pub fn open_vs_closed() -> String {
     let bm = blue_mountain();
     let natives = native_trace(&bm, TRACE_SEED);
     let mut t = Table::new(
@@ -442,17 +415,13 @@ pub fn open_vs_closed(lab: &mut Lab) -> Experiment {
          a worst case for the native-impact numbers, strengthening its\n\
          conclusion that interstitial computing is safe to enable.\n",
     );
-    Experiment {
-        id: "extension_openclosed",
-        title: "Open vs closed-loop native submission",
-        body,
-    }
+    body
 }
 
 /// Fairness analysis: does the interstitial delay cascade land evenly
 /// across native users? (The paper stops at the 1%-of-jobs observation;
 /// this resolves it per user.)
-pub fn fairness(lab: &mut Lab) -> Experiment {
+pub fn fairness(lab: &mut Lab) -> String {
     use analysis::fairness::{service_gini, wait_jain};
     use machine::config::all_machines;
     let mut t = Table::new(
@@ -483,15 +452,11 @@ pub fn fairness(lab: &mut Lab) -> Experiment {
          moves with the cascade tail: the pain is *not* uniformly spread,\n\
          matching the paper's observation that ~1% of jobs absorb most of it.\n",
     );
-    Experiment {
-        id: "analysis_fairness",
-        title: "Inter-user fairness under interstitial computing",
-        body,
-    }
+    body
 }
 
 /// Fine utilization-cap sweep extending Table 8's three points.
-pub fn cap_sweep(lab: &mut Lab) -> Experiment {
+pub fn cap_sweep(lab: &mut Lab) -> String {
     let bm = blue_mountain();
     let mut t = Table::new(
         "Ablation — utilization cap sweep (Blue Mountain, continual 32CPU × 458s)",
@@ -529,18 +494,14 @@ pub fn cap_sweep(lab: &mut Lab) -> Experiment {
          native protection; the knee sits where the cap crosses the native\n\
          utilization's own peaks.\n",
     );
-    Experiment {
-        id: "ablation_capsweep",
-        title: "Utilization-cap sweep",
-        body,
-    }
+    body
 }
 
 /// Ablation — resilience: sweep the per-node failure rate on Ross (with a
 /// continual 32CPU × 120 s interstitial stream) and watch where the fault
 /// process starts to erode the no-delay story: recovery traffic, wasted
 /// CPU·seconds, degraded-capacity time and the native median wait.
-pub fn resilience() -> Experiment {
+pub fn resilience() -> String {
     let cfg = ross();
     let natives = native_trace(&cfg, TRACE_SEED);
     let horizon = cfg.log_horizon();
@@ -614,11 +575,7 @@ pub fn resilience() -> Experiment {
          into capacity the natives themselves need does the requeue-at-head\n\
          recovery start stretching native waits.\n",
     );
-    Experiment {
-        id: "ablation_resilience",
-        title: "Node-failure-rate sweep (fault injection)",
-        body,
-    }
+    body
 }
 
 /// Ablation — recovery policy × fault rate: the same Ross fault sweep as
@@ -627,7 +584,7 @@ pub fn resilience() -> Experiment {
 /// paper's "breakage in time" argument says checkpoint/restart is where the
 /// wasted cycles go to die; this measures exactly how much each policy
 /// salvages, and what the checkpoint machinery charges for it.
-pub fn recovery_policies() -> Experiment {
+pub fn recovery_policies() -> String {
     use interstitial::policy::RecoveryPolicy;
     let cfg = ross();
     let natives = native_trace(&cfg, TRACE_SEED);
@@ -719,9 +676,5 @@ pub fn recovery_policies() -> Experiment {
          the quantitative case for the checkpoint/restart support the paper\n\
          leaves as future work, now under an explicit fault process.\n",
     );
-    Experiment {
-        id: "ablation_recovery",
-        title: "Recovery-policy × fault-rate sweep",
-        body,
-    }
+    body
 }

@@ -1,6 +1,6 @@
 //! Tables 5–8 and Figures 4–6 — continual interstitial computing (§4.3.2).
 
-use crate::{paper, Experiment, Lab};
+use crate::{paper, Lab};
 use analysis::figures::{ascii_bars, ascii_chart, downsample, utilization_series, wait_histogram};
 use analysis::metrics::{largest_fraction, wait_stats, NativeImpact};
 use analysis::tables::fmt_k;
@@ -69,7 +69,7 @@ fn continual_table(
 }
 
 /// Table 5: native-job performance impact on Blue Mountain.
-pub fn table5(lab: &mut Lab) -> Experiment {
+pub fn table5(lab: &mut Lab) -> String {
     let bm = blue_mountain();
     let outs = [
         lab.baseline(&bm),
@@ -154,15 +154,11 @@ pub fn table5(lab: &mut Lab) -> Experiment {
          wait and EF blow up via the ~1% delay-cascade tail; the longer-job\n\
          stream hurts more; the largest jobs bear the brunt.\n",
     );
-    Experiment {
-        id: "table5",
-        title: "Native job performance on Blue Mountain",
-        body,
-    }
+    body
 }
 
 /// Table 6: continual interstitial computing on Blue Mountain.
-pub fn table6(lab: &mut Lab) -> Experiment {
+pub fn table6(lab: &mut Lab) -> String {
     let t = continual_table(
         "Table 6 — Continual interstitial computing on Blue Mountain",
         &blue_mountain(),
@@ -175,15 +171,11 @@ pub fn table6(lab: &mut Lab) -> Experiment {
         "\nShape checks: overall utilization climbs to the mid-90s while native\n\
          utilization and native throughput are unchanged.\n",
     );
-    Experiment {
-        id: "table6",
-        title: "Continual interstitial computing on Blue Mountain",
-        body,
-    }
+    body
 }
 
 /// Table 7: continual interstitial computing on Blue Pacific.
-pub fn table7(lab: &mut Lab) -> Experiment {
+pub fn table7(lab: &mut Lab) -> String {
     let t = continual_table(
         "Table 7 — Continual interstitial computing on Blue Pacific",
         &blue_pacific(),
@@ -197,15 +189,11 @@ pub fn table7(lab: &mut Lab) -> Experiment {
          interstitial throughput is 1–2 orders of magnitude below Blue Mountain's;\n\
          median native wait roughly unchanged (jobs turn over quickly).\n",
     );
-    Experiment {
-        id: "table7",
-        title: "Continual interstitial computing on Blue Pacific",
-        body,
-    }
+    body
 }
 
 /// Table 8 (first instance): continual interstitial computing on Ross.
-pub fn table8_ross(lab: &mut Lab) -> Experiment {
+pub fn table8_ross(lab: &mut Lab) -> String {
     let t = continual_table(
         "Table 8 — Continual interstitial computing on Ross",
         &ross(),
@@ -219,16 +207,12 @@ pub fn table8_ross(lab: &mut Lab) -> Experiment {
          → high 90s); long interstitial jobs visibly push the largest natives'\n\
          waits (Ross runs week-long jobs and restrictive backfill).\n",
     );
-    Experiment {
-        id: "table8_ross",
-        title: "Continual interstitial computing on Ross",
-        body,
-    }
+    body
 }
 
 /// Table 8 (second instance): utilization-capped interstitial submission on
 /// Blue Mountain.
-pub fn table8_limited(lab: &mut Lab) -> Experiment {
+pub fn table8_limited(lab: &mut Lab) -> String {
     let bm = blue_mountain();
     let caps = [0.90, 0.95, 0.98];
     let outs: Vec<_> = caps
@@ -279,16 +263,12 @@ pub fn table8_limited(lab: &mut Lab) -> Experiment {
          monotonically with the cap; a 90% cap trades ≈40% of interstitial\n\
          throughput for near-baseline native waits; 98% ≈ uncapped.\n",
     );
-    Experiment {
-        id: "table8_limited",
-        title: "Limited continual interstitial computing on Blue Mountain",
-        body,
-    }
+    body
 }
 
 /// Figure 4: Blue Mountain utilization time series without/with continual
 /// interstitial computing.
-pub fn figure4(lab: &mut Lab) -> Experiment {
+pub fn figure4(lab: &mut Lab) -> String {
     let bm = blue_mountain();
     let baseline = lab.baseline(&bm);
     let continual = lab.continual(&bm, 32, 120.0, InterstitialPolicy::default());
@@ -320,11 +300,7 @@ pub fn figure4(lab: &mut Lab) -> Experiment {
         "\nmean hourly utilization: {mean_base:.3} → {mean_cont:.3} (paper: 0.776 → 0.942)\n\
          Shape check: the erratic native trace is filled to a near-flat ceiling.\n"
     ));
-    Experiment {
-        id: "figure4",
-        title: "Blue Mountain utilization with and without continual interstitial computing",
-        body,
-    }
+    body
 }
 
 fn wait_figure(lab: &mut Lab, largest_only: bool) -> String {
@@ -372,31 +348,23 @@ fn wait_figure(lab: &mut Lab, largest_only: bool) -> String {
 
 /// Figure 5: wait-time distribution (log₁₀ s decades) of native jobs on
 /// Blue Mountain.
-pub fn figure5(lab: &mut Lab) -> Experiment {
+pub fn figure5(lab: &mut Lab) -> String {
     let mut body = wait_figure(lab, false);
     body.push_str(
         "Shape check: the (0,1) spike of the no-interstitial case shifts out to\n\
          the [2,3)/[3,4) decades (one interstitial runtime), with a small\n\
          cascade population pushed into [4,5)+ that drives the mean.\n",
     );
-    Experiment {
-        id: "figure5",
-        title: "Wait times of native jobs on Blue Mountain",
-        body,
-    }
+    body
 }
 
 /// Figure 6: same, restricted to the 5% largest native jobs (CPU·sec).
-pub fn figure6(lab: &mut Lab) -> Experiment {
+pub fn figure6(lab: &mut Lab) -> String {
     let mut body = wait_figure(lab, true);
     body.push_str(
         "Shape check: the big jobs' distribution sits one or two decades to the\n\
          right of the all-jobs distribution and shifts further with interstitial\n\
          load, hence the hour-scale median wait increases of Table 6.\n",
     );
-    Experiment {
-        id: "figure6",
-        title: "Wait times of the 5% largest native jobs on Blue Mountain",
-        body,
-    }
+    body
 }

@@ -4,12 +4,12 @@
 //! *measured* by replaying each machine's (synthetic) log natively, so this
 //! doubles as the calibration record for the whole reproduction.
 
-use crate::{Experiment, Lab};
+use crate::Lab;
 use analysis::Table;
 use machine::config::all_machines;
 
 /// Regenerate Table 1.
-pub fn run(lab: &mut Lab) -> Experiment {
+pub fn run(lab: &mut Lab) -> String {
     let mut t = Table::new(
         "Table 1 — Comparison of ASCI machines (measured over the synthetic logs)",
         &[
@@ -64,9 +64,5 @@ pub fn run(lab: &mut Lab) -> Experiment {
          the synthetic log replayed through each machine's scheduler personality;\n\
          the workload substrate was calibrated so it tracks the paper's value.\n",
     );
-    Experiment {
-        id: "table1",
-        title: "Comparison of ASCI machines",
-        body,
-    }
+    body
 }

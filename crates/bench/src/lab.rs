@@ -1,11 +1,14 @@
 //! Shared, cached experiment inputs.
 //!
 //! Several experiments hang off the same expensive artifacts: the native
-//! baseline replay of each machine and the continual interstitial runs for
-//! each (machine, job shape, cap) combination. [`Lab`] computes each at most
-//! once per process and hands out shared references. All seeds are pinned
-//! here so the entire suite is one deterministic function.
+//! baseline replay of each machine, the continual interstitial runs for
+//! each (machine, job shape, cap) combination, and the Table 2 grid.
+//! [`Lab`] computes each on first use, at most once per process, and hands
+//! out shared references. All seeds are pinned here so the entire suite is
+//! one deterministic function, and an experiment run alone prints what it
+//! prints in the suite.
 
+use crate::experiments::omniscient::{self, OmniscientData};
 use interstitial::experiment::{continual_run, native_baseline};
 use interstitial::{InterstitialPolicy, InterstitialProject, SimOutput};
 use machine::MachineConfig;
@@ -34,6 +37,7 @@ struct ContinualKey {
 pub struct Lab {
     baselines: HashMap<&'static str, Arc<SimOutput>>,
     continual: HashMap<ContinualKey, Arc<SimOutput>>,
+    omniscient: Option<Arc<OmniscientData>>,
 }
 
 impl Lab {
@@ -76,6 +80,17 @@ impl Lab {
         let out = Arc::new(continual_run(cfg, TRACE_SEED, &project, policy));
         self.continual.insert(key, out.clone());
         out
+    }
+
+    /// The Table 2 grid of omniscient replications (computed once), which
+    /// Table 2, Table 3 and Figure 2 all read.
+    pub fn omniscient(&mut self) -> Arc<OmniscientData> {
+        if let Some(hit) = &self.omniscient {
+            return hit.clone();
+        }
+        let data = Arc::new(omniscient::compute(self));
+        self.omniscient = Some(data.clone());
+        data
     }
 }
 

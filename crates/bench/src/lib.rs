@@ -1,13 +1,16 @@
 //! # bench — experiment harness
 //!
 //! One regenerator per table and figure of the paper, plus the ablation
-//! studies DESIGN.md calls out, each a function in [`experiments`].
-//! `bin/all_experiments` runs the whole suite and rewrites `EXPERIMENTS.md`,
-//! or prints the one experiment named on its command line.
+//! studies DESIGN.md calls out, each a function in [`experiments`] and an
+//! entry of [`experiments::REGISTRY`], the one list of `(id, title,
+//! function)`. `bin/all_experiments` runs the registry in order and rewrites
+//! `EXPERIMENTS.md`, or runs only the one experiment named on its command
+//! line.
 //!
-//! [`Lab`] caches the expensive shared inputs (native baselines, continual
-//! runs) so the full suite reuses rather than recomputes them, and pins
-//! every seed so the suite is deterministic end to end.
+//! [`Lab`] builds the expensive shared inputs (native baselines, continual
+//! runs, the Table 2 grid) on first use, so the full suite reuses rather
+//! than recomputes them and an experiment run alone computes only what it
+//! reads. It pins every seed, so the suite is deterministic end to end.
 
 #![warn(missing_docs)]
 
@@ -18,27 +21,3 @@ pub mod paper;
 pub mod perf;
 
 pub use lab::Lab;
-
-/// A rendered experiment: an id like "table2", a paper reference, and the
-/// regenerated body (text tables / ASCII figures / notes).
-#[derive(Clone, Debug)]
-pub struct Experiment {
-    /// Short id: `table1` … `figure6`, `ablation_*`.
-    pub id: &'static str,
-    /// Human title as the paper labels it.
-    pub title: &'static str,
-    /// Regenerated content (plain text; Markdown-safe).
-    pub body: String,
-}
-
-impl Experiment {
-    /// Render as a Markdown section.
-    pub fn to_markdown(&self) -> String {
-        format!(
-            "## {} — {}\n\n```text\n{}\n```\n",
-            self.id,
-            self.title,
-            self.body.trim_end()
-        )
-    }
-}
