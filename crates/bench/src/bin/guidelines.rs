@@ -1,6 +1,7 @@
 //! The paper's §5 guidelines as a machine × job-shape advisory matrix.
 //!
-//! Usage: guidelines `[tolerance_minutes]`
+//! Usage: guidelines `[tolerance_minutes]` (default 15). Anything but one
+//! whole number of minutes exits 2 with the usage line.
 use analysis::Table;
 use interstitial::advisor::{advise, Severity};
 use interstitial::InterstitialProject;
@@ -8,10 +9,12 @@ use machine::config::all_machines;
 use simkit::time::SimDuration;
 
 fn main() {
-    let tol_min: u64 = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(15);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let tol_min: u64 = match args.as_slice() {
+        [] => 15,
+        [one] => one.parse().unwrap_or_else(|_| usage()),
+        _ => usage(),
+    };
     let tolerance = SimDuration::from_mins(tol_min);
     let shapes: [(u32, f64); 6] = [
         (1, 120.0),
@@ -46,4 +49,9 @@ fn main() {
          headroom, near-tolerance runtime); NO = violates a §5 guideline.\n\
          Expected hours use the §4.2 fitted formula × breakage."
     );
+}
+
+fn usage() -> ! {
+    eprintln!("usage: guidelines [tolerance_minutes]");
+    std::process::exit(2);
 }

@@ -8,8 +8,9 @@
 //! by the repository benchmark (`benchmark/`), not here.
 //!
 //! `PERF_OUT_DIR` sets where `BENCH_*.json` land (default: the current
-//! directory). The counters do not depend on the host, so CI regenerates
-//! them and diffs exactly against the committed baselines.
+//! directory); a directory that cannot be created or written exits 1 with
+//! the path and the OS error. The counters do not depend on the host, so
+//! CI regenerates them and diffs exactly against the committed baselines.
 //!
 //! Build with `--features alloc-count` to also record the per-scenario
 //! `"mem"` allocation counters (deterministic per toolchain, gated exactly
@@ -95,8 +96,14 @@ fn print_scenario(machine: &str, scenario: &str, s: &ScenarioPerf) {
 
 fn main() {
     let out_dir = std::env::var("PERF_OUT_DIR").unwrap_or_else(|_| ".".to_string());
+    let fail = |what: &str, path: &str, e: std::io::Error| -> ! {
+        eprintln!("error: cannot {what} {path}: {e}");
+        std::process::exit(1);
+    };
+    if let Err(e) = std::fs::create_dir_all(&out_dir) {
+        fail("create", &out_dir, e);
+    }
     println!("# perf baselines (seed {TRACE_SEED}, {JOBS_PREFIX}-job prefix)");
-    std::fs::create_dir_all(&out_dir).expect("create PERF_OUT_DIR");
     // Replay everything first, write nothing until every scenario has
     // succeeded: a panic mid-replay must not leave a half-updated baseline
     // set on disk for `perf compare` to silently bless.
@@ -145,7 +152,9 @@ fn main() {
     }
     for (key, baseline) in baselines {
         let path = format!("{out_dir}/BENCH_{key}.json");
-        std::fs::write(&path, baseline.to_json()).expect("write baseline");
+        if let Err(e) = std::fs::write(&path, baseline.to_json()) {
+            fail("write", &path, e);
+        }
         println!("wrote {path}");
     }
 }

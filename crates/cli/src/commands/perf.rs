@@ -20,7 +20,7 @@ use crate::args::{ArgError, Args};
 use obs::perf::{compare, PerfBaseline};
 use obs::profile::Phase;
 use obs::recorder::RecorderDump;
-use tracekit::P2;
+use obs::P2;
 
 /// Default row count for the hotspots top-cycles table.
 const DEFAULT_HOTSPOT_ROWS: usize = 10;

@@ -746,7 +746,8 @@ impl Simulator {
     /// delta signals and the end-of-run report all read this one snapshot.
     fn work_counters(&self, steps: u64, st: &RunState) -> WorkCounters {
         let sc = self.scheduler.counters();
-        let mut work = WorkCounters {
+        let ledger = &st.faults.ledger;
+        WorkCounters {
             events_popped: steps,
             events_scheduled: st.q.scheduled_total(),
             heap_peak_depth: st.q.peak_len() as u64,
@@ -757,20 +758,10 @@ impl Simulator {
             profile_segments_walked: sc.profile_segments_walked,
             requeues: st.faults.native_requeues,
             retries: st.faults.interstitial_retries,
-            ..WorkCounters::default()
-        };
-        // Kill-restart reports no recovery work, as it always has: its
-        // evictions keep nothing, and the one thing the ledger can still
-        // book under it (the frozen attempt of a checkpoint-mode
-        // preemption, as salvaged) stays out of its work counters, which is
-        // what the committed kill-restart reports and baselines hold.
-        if self.recovery != RecoveryPolicy::KillRestart {
-            let ledger = &st.faults.ledger;
-            work.checkpoints_taken = ledger.checkpoints_taken();
-            work.cpu_s_salvaged = ledger.salvaged();
-            work.cpu_s_reexecuted = ledger.reexecuted();
+            checkpoints_taken: ledger.checkpoints_taken(),
+            cpu_s_salvaged: ledger.salvaged(),
+            cpu_s_reexecuted: ledger.reexecuted(),
         }
-        work
     }
 
     /// CPU-conservation and degraded-capacity invariants (no-ops without

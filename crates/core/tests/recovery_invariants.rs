@@ -322,7 +322,7 @@ fn preempting_streams_under_faults_are_pinned() {
             "kill",
             0x55f2_2e61_ab5c_7b74,
             [
-                8725, 8725, 924, 5755, 789, 37, 242598, 10891, 16, 67, 0, 0, 0,
+                8725, 8725, 924, 5755, 789, 37, 242598, 10891, 16, 67, 0, 3902752, 0,
             ],
         ),
         (
@@ -363,10 +363,14 @@ fn preempting_streams_under_faults_are_pinned() {
         assert_eq!(digest(&out), pin, "{what}: digest {:#018x}", digest(&out));
         assert_eq!(out.obs.work.fields().map(|(_, v)| v), work, "{what}");
         if (preemption, recovery) == (Preemption::Checkpoint, "kill") {
-            // Today's answer to the kill-restart salvage question: the
-            // ledger books the frozen checkpoint-preemption attempts as
-            // salvaged, and the work counters report none of it.
-            assert_eq!(out.obs.work.cpu_s_salvaged, 0, "{what}");
+            // Kill-restart keeps nothing of a fault-killed attempt, but a
+            // checkpoint-mode preemption still freezes its victim's attempt
+            // as salvaged, and the work counters report the ledger's total.
+            assert_eq!(
+                out.obs.work.cpu_s_salvaged,
+                out.faults.ledger.salvaged(),
+                "{what}"
+            );
             assert_eq!(out.faults.ledger.salvaged(), 3_902_752, "{what}");
         }
     }

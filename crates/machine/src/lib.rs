@@ -8,8 +8,8 @@
 //!   (Ross, Blue Mountain, Blue Pacific).
 //! * [`pool`] — [`CpuPool`], checked allocate/release accounting.
 //! * [`running`] — [`RunningSet`], the set of executing jobs with actual and
-//!   estimated completion times; computes backfill *shadow times* and
-//!   free-capacity profiles.
+//!   estimated completion times; projects the free-capacity profile that
+//!   backfill plans on.
 //! * [`profile`] — [`EndIndex`]/[`IndexedFreeProfile`], the incrementally
 //!   maintained end-time index behind `RunningSet`'s O(√n) capacity queries.
 //! * [`outage`] — [`OutageSchedule`], full-machine downtime windows.

@@ -1,15 +1,16 @@
 //! The set of currently executing jobs.
 //!
-//! Besides plain membership, this answers the two questions every backfill
-//! scheduler (and the interstitial submitter) asks:
+//! Besides plain membership, this answers the one question every backfill
+//! scheduler (and the interstitial submitter) asks: how many CPUs are
+//! projected free over time, given the running jobs' *estimated* ends? The
+//! planner reads it through [`RunningSet::indexed_profile`], a view over an
+//! incrementally maintained end-time index; [`RunningSet::free_profile`]
+//! rebuilds the same answer as a [`StepFunction`] and is the reference the
+//! index is checked against. The queue head's reservation instant — the
+//! paper's `backFillWallTime` — is the first slot on this profile where its
+//! request fits.
 //!
-//! 1. **Shadow time** — based on *estimated* completion times, when will `k`
-//!    CPUs be free? This is the reservation instant for the queue-head job;
-//!    the paper's `backFillWallTime`.
-//! 2. **Free-capacity profile** — a [`StepFunction`] of projected free CPUs
-//!    over time, used by conservative backfill and by omniscient packing.
-//!
-//! User estimates grossly overrun actual runtimes (§3), so both answers are
+//! User estimates grossly overrun actual runtimes (§3), so the profile is
 //! systematically pessimistic under estimate-based scheduling — which is
 //! exactly the effect the paper studies.
 
@@ -43,7 +44,7 @@ pub struct RunningJob {
 /// The set of executing jobs, indexed by id.
 ///
 /// Backed by a `BTreeMap` so iteration is in ascending job-id order — the
-/// shadow-time and free-profile scans below feed scheduling decisions, and
+/// free-profile scan below feeds scheduling decisions, and
 /// a nondeterministic visit order would make replays diverge (simlint R1).
 #[derive(Clone, Debug, Default)]
 pub struct RunningSet {
@@ -117,34 +118,6 @@ impl RunningSet {
         self.jobs.values()
     }
 
-    /// Earliest instant at which at least `need` CPUs are projected free,
-    /// given `free_now` currently idle CPUs and the *estimated* ends of the
-    /// running jobs. Jobs already past their estimate are treated as ending
-    /// at `now` (the scheduler knows they can end any moment but no sooner
-    /// than now). Returns `now` if already satisfiable, or `None` if even
-    /// draining every running job would not reach `need` (job larger than
-    /// the machine / outage in effect).
-    pub fn shadow_time(&self, now: SimTime, free_now: u32, need: u32) -> Option<SimTime> {
-        if free_now >= need {
-            return Some(now);
-        }
-        // Sort running jobs by effective estimated end.
-        let mut ends: Vec<(SimTime, u32)> = self
-            .jobs
-            .values()
-            .map(|j| (j.estimated_end.max(now), j.cpus))
-            .collect();
-        ends.sort_unstable_by_key(|&(t, _)| t);
-        let mut free = free_now;
-        for (t, cpus) in ends {
-            free += cpus;
-            if free >= need {
-                return Some(t);
-            }
-        }
-        None
-    }
-
     /// Projected free-CPU profile on `[now, horizon)`: starts at `free_now`
     /// and steps up at each running job's effective estimated end. The
     /// profile is what conservative backfill scans and what the interstitial
@@ -184,15 +157,6 @@ impl RunningSet {
     /// Direct access to the end-time index (tests and diagnostics).
     pub fn end_index(&self) -> &EndIndex {
         &self.end_index
-    }
-
-    /// Longest remaining *estimated* runtime among running jobs, from `now`.
-    pub fn longest_remaining_estimate(&self, now: SimTime) -> SimDuration {
-        self.jobs
-            .values()
-            .map(|j| j.estimated_end.max(now) - now)
-            .max()
-            .unwrap_or(SimDuration::ZERO)
     }
 }
 
@@ -258,41 +222,6 @@ mod tests {
     }
 
     #[test]
-    fn shadow_time_immediate_when_enough_free() {
-        let rs = RunningSet::new();
-        assert_eq!(rs.shadow_time(t(50), 8, 8), Some(t(50)));
-        assert_eq!(
-            rs.shadow_time(t(50), 8, 9),
-            None,
-            "empty machine can't grow"
-        );
-    }
-
-    #[test]
-    fn shadow_time_accumulates_estimated_ends() {
-        let mut rs = RunningSet::new();
-        rs.insert(job(1, 4, 0, 80, 100));
-        rs.insert(job(2, 4, 0, 150, 200));
-        rs.insert(job(3, 4, 0, 250, 300));
-        // 2 free now; need 6 → after job 1's *estimated* end (100).
-        assert_eq!(rs.shadow_time(t(10), 2, 6), Some(t(100)));
-        // Need 10 → after job 2's estimate.
-        assert_eq!(rs.shadow_time(t(10), 2, 10), Some(t(200)));
-        // Need 14 → all three.
-        assert_eq!(rs.shadow_time(t(10), 2, 14), Some(t(300)));
-        // Need more than ever becomes free → None.
-        assert_eq!(rs.shadow_time(t(10), 2, 15), None);
-    }
-
-    #[test]
-    fn shadow_time_clamps_overrun_estimates_to_now() {
-        let mut rs = RunningSet::new();
-        // Estimated end (100) already passed; effective end is `now`.
-        rs.insert(job(1, 6, 0, 500, 100));
-        assert_eq!(rs.shadow_time(t(200), 0, 6), Some(t(200)));
-    }
-
-    #[test]
     fn free_profile_steps_up_at_estimates() {
         let mut rs = RunningSet::new();
         rs.insert(job(1, 3, 0, 80, 100));
@@ -327,19 +256,5 @@ mod tests {
         let f = rs.free_profile(t(2000), 4, t(10_000));
         assert_eq!(f.value_at(t(2000)), 4, "at `now` only actual free CPUs");
         assert_eq!(f.value_at(t(2001)), 10, "projected to end any moment after");
-    }
-
-    #[test]
-    fn longest_remaining_estimate() {
-        let mut rs = RunningSet::new();
-        assert_eq!(rs.longest_remaining_estimate(t(0)), SimDuration::ZERO);
-        rs.insert(job(1, 1, 0, 500, 300));
-        rs.insert(job(2, 1, 0, 100, 900));
-        assert_eq!(
-            rs.longest_remaining_estimate(t(100)),
-            SimDuration::from_secs(800)
-        );
-        // All estimates overrun → zero remaining (could end any moment).
-        assert_eq!(rs.longest_remaining_estimate(t(1000)), SimDuration::ZERO);
     }
 }

@@ -51,12 +51,13 @@ pub struct WorkCounters {
     pub requeues: u64,
     /// Interstitial retry submissions after a fault kill.
     pub retries: u64,
-    /// Checkpoints completed by interstitial jobs (`--recovery ckpt=I`).
-    /// Stays zero under kill-restart: the legacy path never engages the
-    /// recovery ledger, keeping frozen perf baselines comparable.
+    /// Checkpoints completed by interstitial jobs (`--recovery ckpt=I`);
+    /// zero under every other recovery policy.
     pub checkpoints_taken: u64,
     /// CPU-seconds of evicted interstitial progress carried across a
-    /// resume instead of being discarded.
+    /// resume instead of being discarded. Under kill-restart the only
+    /// source is a checkpoint-mode preemption's frozen attempt, which is
+    /// reported here like under every other recovery policy.
     pub cpu_s_salvaged: u64,
     /// CPU-seconds of evicted interstitial progress lost past the last
     /// checkpoint and re-executed (zero under kill-restart, which accounts

@@ -15,7 +15,7 @@
 //!    actuality (the §4.3 effect), but the plan itself must never regress.
 //! 3. **Planner equivalence** — the indexed plan the scheduler acts on
 //!    equals the naive reference: [`crate::backfill::plan`] over the same
-//!    eligible queue, planned against [`RunningSet::free_profile`] rebuilt
+//!    ordered queue, planned against [`RunningSet::free_profile`] rebuilt
 //!    from every running job. Starts, backfilled count, head reservation and
 //!    `candidates_scanned` must all match; the index may only change the
 //!    cost of a decision, never the decision.
@@ -135,13 +135,13 @@ pub fn check_no_delay(
 
 /// Assert the planner-equivalence invariant: `indexed`, the plan the
 /// scheduler computed on its indexed free-capacity view, must equal the
-/// naive [`crate::backfill::plan`] over the same `eligible` queue, `free` CPUs and
-/// running set.
+/// naive [`crate::backfill::plan`] over the same `ordered_queue`, `free` CPUs
+/// and running set.
 #[inline(always)]
 pub fn check_planner_equivalence(
     now: SimTime,
     policy: BackfillPolicy,
-    eligible: &[Job],
+    ordered_queue: &[Job],
     free: u32,
     running: &RunningSet,
     window: DispatchWindow,
@@ -150,13 +150,13 @@ pub fn check_planner_equivalence(
     if !cfg!(feature = "check-invariants") {
         return;
     }
-    let naive = crate::backfill::plan(policy, eligible, now, free, running, window);
+    let naive = crate::backfill::plan(policy, ordered_queue, now, free, running, window);
     assert_eq!(
         &naive,
         indexed,
         "invariant: indexed planner diverged from the naive reference at {now:?} \
-         ({policy:?}, {} eligible, {free} free)",
-        eligible.len()
+         ({policy:?}, {} queued, {free} free)",
+        ordered_queue.len()
     );
 }
 

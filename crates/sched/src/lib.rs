@@ -14,9 +14,11 @@
 //! * [`backfill`] — the dispatch planner: EASY, conservative, and the
 //!   restrictive variant the paper attributes to Ross ("the criteria by
 //!   which backfilling takes place is more restrictive").
-//! * [`scheduler`] — [`Scheduler`], the queue + policy bundle the simulation
-//!   driver talks to, with per-machine constructors. Each cycle plans on
-//!   the running set's indexed free-capacity view.
+//! * [`scheduler`] — [`Scheduler`], the queue the simulation driver talks
+//!   to, with its three settings (priority policy, backfill flavor and
+//!   dispatch window; nothing else differs between the personalities) and
+//!   per-machine constructors. Each cycle orders the queue in place and
+//!   plans on it against the running set's indexed free-capacity view.
 //! * [`invariants`] — runtime checks behind the `check-invariants` feature:
 //!   CPU conservation, meta-backfill no-delay, and planner equivalence (the
 //!   indexed plan equals the naive [`backfill::plan`] reference).

@@ -65,21 +65,6 @@ impl PriorityKey {
 impl PriorityPolicy {
     /// Compute the sort key of `job` at `now` under this policy.
     pub fn key(&self, job: &Job, fairshare: &FairShare, now: SimTime) -> PriorityKey {
-        self.key_aged(job, fairshare, now, 0.0)
-    }
-
-    /// Like [`PriorityPolicy::key`], with *aging*: every second a job has
-    /// waited subtracts `aging_weight` from its primary score (lower runs
-    /// first), so long-waiting jobs eventually overtake fair-share
-    /// favourites. Production schedulers ship this as an anti-starvation
-    /// valve; `aging_weight = 0` disables it.
-    pub fn key_aged(
-        &self,
-        job: &Job,
-        fairshare: &FairShare,
-        now: SimTime,
-        aging_weight: f64,
-    ) -> PriorityKey {
         let (primary, secondary) = match *self {
             PriorityPolicy::Fcfs => (0.0, 0.0),
             PriorityPolicy::FlatUserShare => (fairshare.user_usage(now, job.user), 0.0),
@@ -96,9 +81,8 @@ impl PriorityPolicy {
                 0.0,
             ),
         };
-        let wait = now.saturating_since(job.submit).as_secs_f64();
         PriorityKey {
-            primary: primary - aging_weight * wait,
+            primary,
             secondary,
             submit: job.submit,
             id: job.id,
@@ -107,20 +91,9 @@ impl PriorityPolicy {
 
     /// Sort a queue of jobs in dispatch order under this policy.
     pub fn order(&self, queue: &mut [Job], fairshare: &FairShare, now: SimTime) {
-        self.order_aged(queue, fairshare, now, 0.0);
-    }
-
-    /// Sort with aging (see [`PriorityPolicy::key_aged`]).
-    pub fn order_aged(
-        &self,
-        queue: &mut [Job],
-        fairshare: &FairShare,
-        now: SimTime,
-        aging_weight: f64,
-    ) {
         queue.sort_by(|a, b| {
-            self.key_aged(a, fairshare, now, aging_weight)
-                .cmp_total(&self.key_aged(b, fairshare, now, aging_weight))
+            self.key(a, fairshare, now)
+                .cmp_total(&self.key(b, fairshare, now))
         });
     }
 }
@@ -219,36 +192,6 @@ mod tests {
         let mut q = vec![job(1, 1, 0, 0), job(2, 2, 0, 0)];
         PriorityPolicy::FlatUserShare.order(&mut q, &fs, SimTime::from_secs(3600));
         assert_eq!(q[0].id, 1, "usage decay + new charge flipped the order");
-    }
-
-    #[test]
-    fn aging_lets_old_jobs_overtake_fair_share() {
-        let mut fs = ledger();
-        // User 1 is heavy but their job has waited 10 000 s; user 2's fresh
-        // job would normally win on fair share.
-        fs.charge(SimTime::ZERO, 1, 0, 5_000.0);
-        let old = job(1, 1, 0, 0);
-        let fresh = job(2, 2, 0, 10_000);
-        let now = SimTime::from_secs(10_000);
-        // Without aging: user 2 first.
-        let mut q = vec![old, fresh];
-        PriorityPolicy::FlatUserShare.order(&mut q, &fs, now);
-        assert_eq!(q[0].id, 2);
-        // With aging 1.0/s: 10 000 s of waiting cancels 5 000 usage and more.
-        let mut q = vec![old, fresh];
-        PriorityPolicy::FlatUserShare.order_aged(&mut q, &fs, now, 1.0);
-        assert_eq!(q[0].id, 1, "aged job overtakes");
-    }
-
-    #[test]
-    fn zero_aging_weight_matches_plain_key() {
-        let mut fs = ledger();
-        fs.charge(SimTime::ZERO, 1, 0, 123.0);
-        let j = job(1, 1, 0, 50);
-        let now = SimTime::from_secs(500);
-        let plain = PriorityPolicy::FlatUserShare.key(&j, &fs, now);
-        let aged = PriorityPolicy::FlatUserShare.key_aged(&j, &fs, now, 0.0);
-        assert_eq!(plain, aged);
     }
 
     #[test]

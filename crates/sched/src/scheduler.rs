@@ -1,7 +1,7 @@
 //! The scheduler bundle the simulation driver drives.
 //!
 //! [`Scheduler`] owns the waiting queue, the fair-share ledger and the
-//! policy knobs; [`Scheduler::cycle`] runs one scheduling pass (the paper's
+//! three policies; [`Scheduler::cycle`] runs one scheduling pass (the paper's
 //! "the algorithm is run every time the system checks for new jobs, e.g.,
 //! when a native job is submitted, when any job is finished, or at given
 //! time intervals").
@@ -25,13 +25,6 @@ pub struct Scheduler {
     pub backfill: BackfillPolicy,
     /// Time-of-day dispatch constraint.
     pub window: DispatchWindow,
-    /// Anti-starvation aging: fair-share score reduction per second of
-    /// queue wait (0 = off; see [`PriorityPolicy::key_aged`]).
-    pub aging_weight: f64,
-    /// Per-user cap on *dispatchable* queued jobs: a user's jobs beyond the
-    /// cap are held invisible to the planner until earlier ones start — a
-    /// standard production throttle. `None` = unlimited.
-    pub max_dispatchable_per_user: Option<u32>,
     fairshare: FairShare,
     queue: Vec<Job>,
     /// Estimated CPU·seconds of demand sitting in the queue, maintained
@@ -82,8 +75,6 @@ impl Scheduler {
             priority,
             backfill,
             window,
-            aging_weight: 0.0,
-            max_dispatchable_per_user: None,
             fairshare: FairShare::new(fairshare_half_life),
             queue: Vec::new(),
             queued_demand_cpu_s: 0,
@@ -169,8 +160,7 @@ impl Scheduler {
     /// do the rest). No-op beyond the policy sort when nothing is boosted —
     /// the fault-free path is byte-identical to the pre-fault scheduler.
     fn order_queue(&mut self, now: SimTime) {
-        self.priority
-            .order_aged(&mut self.queue, &self.fairshare, now, self.aging_weight);
+        self.priority.order(&mut self.queue, &self.fairshare, now);
         if !self.boosted.is_empty() {
             let boosted = &self.boosted;
             self.queue.sort_by_key(|j| !boosted.contains(&j.id));
@@ -219,26 +209,6 @@ impl Scheduler {
         self.queue.first().copied()
     }
 
-    /// The priority-ordered queue restricted to per-user dispatchable jobs.
-    fn dispatchable(&self) -> Vec<Job> {
-        match self.max_dispatchable_per_user {
-            None => self.queue.clone(),
-            Some(cap) => {
-                let mut counts: std::collections::BTreeMap<u32, u32> =
-                    std::collections::BTreeMap::new();
-                self.queue
-                    .iter()
-                    .filter(|j| {
-                        let c = counts.entry(j.user).or_insert(0);
-                        *c += 1;
-                        *c <= cap
-                    })
-                    .copied()
-                    .collect()
-            }
-        }
-    }
-
     /// Run one scheduling cycle: recompute priorities, plan dispatch, pop
     /// the started jobs from the queue and return them. When `machine_up`
     /// is false (an outage) nothing starts, but the head reservation is
@@ -255,10 +225,11 @@ impl Scheduler {
     }
 
     /// [`cycle`](Scheduler::cycle) with instrumentation: phase spans for
-    /// queue ordering (`order-queue`: the priority sort plus eligibility
-    /// scan), free-profile construction and backfill planning, plus the
-    /// queue-depth high-water gauge, land in `observer`. Returns the full [`DispatchPlan`] so
-    /// the caller can tell in-order dispatches from backfills — the first
+    /// queue ordering (`order-queue`: the priority sort), free-profile
+    /// construction and backfill planning, plus the queue-depth high-water
+    /// gauge, land in `observer`. The planner reads the ordered queue in
+    /// place. Returns the full [`DispatchPlan`] so the caller can tell
+    /// in-order dispatches from backfills — the first
     /// `starts.len() - backfilled` entries of `starts` are in-order (the
     /// planner only marks jobs as backfills once the head is blocked, and
     /// a blocked head stays blocked for the rest of the scan).
@@ -276,16 +247,15 @@ impl Scheduler {
         }
         let token = observer.profiler.begin();
         self.order_queue(now);
-        let eligible = self.dispatchable();
         observer.profiler.end(Phase::OrderQueue, token);
-        let plan = if eligible.is_empty() {
+        let plan = if self.queue.is_empty() {
             DispatchPlan::default()
         } else {
             let token = observer.profiler.begin();
             let mut view = running.indexed_profile(now, free, now + backfill::LOOKAHEAD);
             observer.profiler.end(Phase::FreeProfile, token);
             let token = observer.profiler.begin();
-            let plan = backfill::plan_on(self.backfill, &eligible, now, &mut view, self.window);
+            let plan = backfill::plan_on(self.backfill, &self.queue, now, &mut view, self.window);
             observer.profiler.end(Phase::Backfill, token);
             // Segments of the only profile this cycle built — the plan
             // overlay. The base timeline stays inside the shared index,
@@ -294,7 +264,7 @@ impl Scheduler {
             invariants::check_planner_equivalence(
                 now,
                 self.backfill,
-                &eligible,
+                &self.queue,
                 free,
                 running,
                 self.window,
@@ -334,8 +304,7 @@ impl Scheduler {
         running: &RunningSet,
     ) -> Option<Reservation> {
         self.order_queue(now);
-        let eligible = self.dispatchable();
-        backfill::plan(self.backfill, &eligible, now, free, running, self.window).head_reservation
+        backfill::plan(self.backfill, &self.queue, now, free, running, self.window).head_reservation
     }
 
     /// Charge a finished job's actual consumption to the fair-share ledger.
@@ -473,51 +442,6 @@ mod tests {
         // A zero-second estimate still counts its planning floor of 1 s.
         s.submit(job(4, 1, 8, 0));
         assert_eq!(s.queued_demand_cpu_s(), 8);
-    }
-
-    #[test]
-    fn per_user_limit_holds_excess_jobs() {
-        let mut s = Scheduler::lsf();
-        s.max_dispatchable_per_user = Some(1);
-        let rs = RunningSet::new();
-        // User 1 floods the queue; user 2 submits one job last.
-        for i in 0..5 {
-            s.submit(job(i + 1, 1, 4, 100));
-        }
-        s.submit(job(10, 2, 4, 100));
-        // 8 CPUs free: without the cap, user 1's first two jobs would start.
-        let starts = s.cycle(t(0), 8, &rs, true);
-        let users: Vec<u32> = starts.iter().map(|j| j.user).collect();
-        assert_eq!(starts.len(), 2);
-        assert!(users.contains(&1) && users.contains(&2), "{users:?}");
-        // Held jobs remain queued.
-        assert_eq!(s.queue_len(), 4);
-    }
-
-    #[test]
-    fn aging_weight_flows_through_cycle() {
-        let mut s = Scheduler::pbs();
-        s.aging_weight = 10.0;
-        let mut rs = RunningSet::new();
-        rs.insert(RunningJob {
-            id: 99,
-            cpus: 10,
-            start: t(0),
-            actual_end: t(50_000),
-            estimated_end: t(50_000),
-            interstitial: false,
-        });
-        // Heavy user's old job vs light user's fresh job.
-        s.charge_finish(t(0), &job(50, 1, 10, 1_000));
-        let mut old = job(1, 1, 10, 100);
-        old.submit = t(0);
-        let mut fresh = job(2, 2, 10, 100);
-        fresh.submit = t(9_000);
-        s.submit(old);
-        s.submit(fresh);
-        s.cycle(t(9_000), 0, &rs, true);
-        // With strong aging, the old heavy-user job holds the reservation.
-        assert_eq!(s.head_reservation().unwrap().job_id, 1);
     }
 
     #[test]

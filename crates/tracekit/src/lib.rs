@@ -14,10 +14,10 @@
 //!   wait partitioned *exactly* into machine-saturated, interstitial-
 //!   interference, fair-share-held and backfill-window intervals.
 //! * [`summary`] — single-pass counters, occupancy integrals and P²
-//!   percentiles behind `interstitial trace summarize`.
+//!   percentiles (the [`obs::p2`] estimators, Jain & Chlamtac) behind
+//!   `interstitial trace summarize`.
 //! * [`timeline`] — `StepFunction`-backed occupancy/free profiles, ASCII
 //!   heatmap and interstice census (reusing `analysis::interstices`).
-//! * [`quantile`] — streaming P² quantile estimators (Jain & Chlamtac).
 //! * [`diff`] — align a native-only baseline trace with a
 //!   with-interstitial trace from the same seed and report per-job wait
 //!   deltas plus Table-5 panels computed by the simulator's own
@@ -32,7 +32,6 @@
 pub mod attribution;
 pub mod diff;
 pub mod lifecycle;
-pub mod quantile;
 pub mod reader;
 pub mod summary;
 pub mod timeline;
@@ -40,7 +39,6 @@ pub mod timeline;
 pub use attribution::{AttributionReport, Attributor, JobWait, WaitCategory, CATEGORIES};
 pub use diff::{diff, JobDelta, OutcomeCollector, Outcomes, TraceDiff};
 pub use lifecycle::{Occupancy, Transition};
-pub use quantile::{Quantiles, P2};
 pub use reader::{open_path, read_all, ReadStats, TraceError, TraceMeta, TraceReader};
 pub use summary::{Summarizer, TraceSummary};
 pub use timeline::{Timeline, TimelineBuilder};

@@ -8,8 +8,7 @@
 //! [`TraceSummary::peak_tracked_jobs`].
 
 use crate::lifecycle::{Occupancy, RecoveryMark, Transition};
-use crate::quantile::Quantiles;
-use obs::{PreemptKind, StartKind, TraceEvent};
+use obs::{PreemptKind, Quantiles, StartKind, TraceEvent};
 use simkit::time::SimTime;
 
 /// Everything `trace summarize` reports, accumulated in one pass.

@@ -7,8 +7,8 @@
 //! heavy-tailed inputs alike. Small samples (n ≤ 5) must be exact order
 //! statistics.
 
+use obs::P2;
 use simkit::rng::Rng;
-use tracekit::P2;
 
 /// Distance from the target rank `p` to the rank interval the estimate
 /// occupies in the true sorted sample (0 when the estimate's rank
